@@ -83,8 +83,11 @@ def render_json(table: ReportTable) -> str:
 def _emit(table: ReportTable, cfg: RunConfig) -> int:
     text = render_json(table) if cfg.json_out else render_csv(table)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {cfg.out!r}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return table.exit_code
@@ -322,11 +325,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = merge_file_config(vars(args), args.config)
     threads = merged.get("threads")
     env_threads = os.environ.get("FRAME_SYNC_THREADS")
-    if threads is None and env_threads:
+    if threads is not None:
+        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+            raise UsageError(f"config threads must be a positive integer, got {threads!r}")
+    elif env_threads:
         try:
             threads = int(env_threads)
         except ValueError:
-            raise UsageError(f"FRAME_SYNC_THREADS must be an integer, got {env_threads!r}")
+            threads = None
+        if threads is None or threads < 1:
+            raise UsageError(
+                f"FRAME_SYNC_THREADS must be a positive integer, got {env_threads!r}")
     return RunConfig(
         command=merged["command"],
         seed=merged["seed"] if merged.get("seed") is not None else 0,

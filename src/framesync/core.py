@@ -9,7 +9,7 @@ that level bookkeeping never relies on implicit array positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -261,28 +261,49 @@ def _basis_matrix(basis: Sequence[Ket]) -> np.ndarray:
     return np.vstack([b.amplitudes for b in basis])
 
 
-def measure(state: Ket, basis: Sequence[Ket], rng: RngLike):
+@dataclass(frozen=True, eq=False)
+class MeasurementBasis:
+    """Complete orthonormal basis of a measured factor, checked once when built.
+
+    ``measure`` takes one in place of a sequence of Kets and then skips the
+    per-call stacking and orthonormality check, which dominate repeated
+    measurements in a small basis.
+    """
+
+    vectors: tuple
+    bras: np.ndarray = field(init=False, repr=False)   # conjugated rows
+
+    def __post_init__(self):
+        B = _basis_matrix(self.vectors)
+        d_meas = B.shape[1]
+        if B.shape[0] != d_meas:
+            raise ContractViolation(
+                f"basis must be complete on the measured factor: got {B.shape[0]} vectors in dimension {d_meas}")
+        if np.abs(B.conj() @ B.T - np.eye(d_meas)).max() > MEASURE_ATOL:
+            raise ContractViolation("measurement basis is not orthonormal within 1e-10")
+        object.__setattr__(self, "vectors", tuple(self.vectors))
+        object.__setattr__(self, "bras", _frozen_array(B.conj(), complex))
+
+
+def measure(state: Ket, basis: Sequence[Ket] | MeasurementBasis, rng: RngLike):
     """Projective measurement of the leading tensor factor.
 
     The measured factor's dimension is the dimension of the basis vectors;
     the state dimension must be a multiple of it.  Returns
     (outcome index, posterior Ket of the unmeasured factors, probability).
     For a complete measurement the posterior is the trivial 1-d ket.
+    A sequence of Kets is checked on every call, a MeasurementBasis once.
     """
     state.require_unit()
-    B = _basis_matrix(basis)
-    d_meas = B.shape[1]
-    if B.shape[0] != d_meas:
-        raise ContractViolation(
-            f"basis must be complete on the measured factor: got {B.shape[0]} vectors in dimension {d_meas}")
-    gram = B.conj() @ B.T
-    if np.abs(gram - np.eye(d_meas)).max() > MEASURE_ATOL:
-        raise ContractViolation("measurement basis is not orthonormal within 1e-10")
+    if not isinstance(basis, MeasurementBasis):
+        basis = MeasurementBasis(basis)
+    bras = basis.bras
+    d_meas = bras.shape[0]
     if state.dim % d_meas != 0:
         raise ContractViolation(
             f"state dimension {state.dim} is not a multiple of the measured dimension {d_meas}")
 
-    cond = B.conj() @ state.amplitudes.reshape(d_meas, -1)   # outcome x rest
+    cond = bras @ state.amplitudes.reshape(d_meas, -1)   # outcome x rest
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
     u = as_generator(rng).random()
     k = int(np.searchsorted(np.cumsum(probs), u, side="right"))

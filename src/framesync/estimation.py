@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import ContractViolation, RandomSource, RngLike, as_generator
 TWO_PI = 2.0 * math.pi
 
 NORM_ATOL = 1e-10      # input normalization gate
-DEFAULT_BINS = 1 << 16  # inverse-CDF sampling grid
+DEFAULT_BINS = 1 << 16  # default quadrature grid of EstimateDensity.average_cost
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,15 @@ class EstimateDensity:
         out = (amp.real**2 + amp.imag**2) / TWO_PI
         return out if out.shape else float(out)
 
+    @cached_property
+    def _mixture_table(self):
+        """(D, i n) with D[k, n] = m_n exp(2 pi i n k / M) / sqrt(M), built once."""
+        size = len(self.magnitudes)
+        levels = np.arange(size)
+        table = (np.array(self.magnitudes) / math.sqrt(size)
+                 * np.exp(TWO_PI * 1j / size * (np.outer(levels, levels) % size)))
+        return table, 1j * levels
+
     def average_cost(self, cost: CostFunction, points: int = DEFAULT_BINS) -> float:
         """Quadrature of c(delta) p(delta) on a uniform periodic grid.
 
@@ -160,35 +169,34 @@ def estimate_density(psi_magnitudes) -> EstimateDensity:
     return EstimateDensity(tuple(m.tolist()))
 
 
-@lru_cache(maxsize=32)
-def _cdf_table(magnitudes: tuple, bins: int):
-    """Cumulative masses of the midpoint-evaluated density on ``bins`` bins."""
-    dens = EstimateDensity(magnitudes)
-    width = TWO_PI / bins
-    mid = (np.arange(bins) + 0.5) * width
-    mass = dens.pdf(mid) * width
-    cdf = np.concatenate(([0.0], np.cumsum(mass)))
-    cdf /= cdf[-1]
-    return cdf
+def _outcome_probabilities(density: EstimateDensity, u: float) -> np.ndarray:
+    """P(k | u) = |sum_n m_n exp(i n (u + 2 pi k / M))|^2 / M for k < M.
 
-
-def sample_estimate(density: EstimateDensity, phi_true: float, rng: RngLike,
-                    bins: int = DEFAULT_BINS) -> float:
-    """Draw an estimate with error distributed as the canonical density.
-
-    Inverse-CDF sampling on a fixed grid: the density is evaluated at bin
-    midpoints and treated as constant within each bin, so the sampled law is
-    the piecewise-constant approximation (bias O(bins^-2) on smooth costs).
-    Result is reduced to [0, 2 pi).
+    One row of the uniform mixture of M-outcome covariant measurements,
+    M = len(magnitudes): by Parseval the row sums to one, and
+    (M / 2 pi) P(k | u) is the density at u + 2 pi k / M.
     """
-    cdf = _cdf_table(density.magnitudes, bins)
-    u = as_generator(rng).random()
-    j = int(np.searchsorted(cdf, u, side="right")) - 1
-    j = min(max(j, 0), bins - 1)
-    mass = cdf[j + 1] - cdf[j]
-    frac = (u - cdf[j]) / mass if mass > 0.0 else 0.0
-    delta = (j + frac) * (TWO_PI / bins)
-    return float((phi_true + delta) % TWO_PI)
+    table, ilevels = density._mixture_table
+    amp = table @ np.exp(u * ilevels)
+    return np.abs(amp) ** 2
+
+
+def sample_estimate(density: EstimateDensity, phi_true: float, rng: RngLike) -> float:
+    """Draw an estimate whose error is distributed exactly as the density.
+
+    The error density is a trigonometric polynomial of degree M - 1, so Bob's
+    continuous covariant measurement equals a uniform mixture of M-outcome
+    covariant measurements (Derka, Buzek & Ekert, PRL 80, 1571 (1998)): draw
+    u uniform on [0, 2 pi / M), then outcome k with probability P(k | u), and
+    return phi_true + u + 2 pi k / M reduced to [0, 2 pi).  No grid, no bias.
+    """
+    gen = as_generator(rng)
+    size = len(density.magnitudes)
+    step = TWO_PI / size
+    u = gen.random() * step
+    cum = _outcome_probabilities(density, u).cumsum()
+    k = min(int(cum.searchsorted(gen.random() * cum[-1], side="right")), size - 1)
+    return float((phi_true + u + k * step) % TWO_PI)
 
 
 def _pair_terms(e, cost: CostFunction):

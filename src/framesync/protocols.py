@@ -14,17 +14,17 @@ phase.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ATOL, ContractViolation, DensityMatrix, Generator, Ket,
-                   RandomSource, RngLike, as_generator, basis_ket, fidelity,
-                   measure, phase_shift, tensor)
+                   MeasurementBasis, RandomSource, RngLike, as_generator,
+                   basis_ket, fidelity, measure, phase_shift, tensor)
 from .estimation import (CostFunction, EstimateDensity, estimate_density,
                          min_joint_cost, sample_estimate)
 from .states import BipartiteFrameState, expand, sector_magnitudes
@@ -32,6 +32,7 @@ from .states import BipartiteFrameState, expand, sector_magnitudes
 TWO_PI = 2.0 * math.pi
 
 SUPPORT_ATOL = 1e-12   # amplitude threshold for level supports
+TRIAL_BLOCK = 1024     # Monte Carlo trials per derived RNG stream
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class SyncProtocol:
     def __init__(self, state: BipartiteFrameState):
         self.state = state
         self.outcomes = alice_measure(state)
-        self._cum = np.cumsum([o.probability for o in self.outcomes])
+        self._cum = list(itertools.accumulate(o.probability for o in self.outcomes))
         if abs(self._cum[-1] - 1.0) > 1e-10:
             raise ContractViolation(
                 f"outcome probabilities sum to {self._cum[-1]!r}, expected 1")
@@ -171,8 +172,7 @@ class SyncProtocol:
 
     def trial(self, phi_true: float, rng: RngLike):
         gen = as_generator(rng)
-        k = int(np.searchsorted(self._cum, gen.random(), side="right"))
-        k = min(k, len(self.outcomes) - 1)
+        k = min(bisect.bisect_right(self._cum, gen.random()), len(self.outcomes) - 1)
         phi_hat = sample_estimate(self.density, phi_true, gen)
         return phi_hat, self.outcomes[k]
 
@@ -186,32 +186,23 @@ def monte_carlo_cost(state: BipartiteFrameState, cost: CostFunction, trials: int
                      rng: RandomSource, *, threads: int | None = None):
     """Sample mean and standard error of the cost over seeded trials.
 
-    The offset is drawn uniformly per trial; trial i uses the split stream
-    ``rng.split(i)``, so results are independent of execution order and of
-    ``threads`` (which only bounds worker parallelism).
+    The offset is drawn uniformly per trial.  Trials run serially in blocks of
+    ``TRIAL_BLOCK``; block b draws from the stream ``rng.split(b)``, so the
+    numbers depend only on ``rng`` and ``trials``.  ``threads`` is accepted
+    for compatibility and has no effect.
     """
     if trials < 100:
         raise ContractViolation("need at least 100 trials for a standard error")
     if not isinstance(rng, RandomSource):
         raise ContractViolation("monte_carlo_cost needs a splittable RandomSource")
     protocol = SyncProtocol(state)
-
-    def run_block(indices) -> np.ndarray:
-        out = np.empty(len(indices))
-        for pos, i in enumerate(indices):
-            gen = rng.split(i).generator()
-            phi = TWO_PI * gen.random()
-            phi_hat, _ = protocol.trial(phi, gen)
-            out[pos] = cost.value(phi_hat - phi)
-        return out
-
-    workers = max(1, int(threads)) if threads else 1
-    if workers == 1:
-        costs = run_block(range(trials))
-    else:
-        blocks = np.array_split(np.arange(trials), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            costs = np.concatenate(list(pool.map(run_block, blocks)))
+    errors = np.empty(trials)
+    for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
+        gen = rng.split(block).generator()
+        phis = (TWO_PI * gen.random(min(TRIAL_BLOCK, trials - start))).tolist()
+        for i, phi in enumerate(phis, start):
+            errors[i] = protocol.trial(phi, gen)[0] - phi
+    costs = cost.value(errors)
     mean = float(np.mean(costs))
     sem = float(np.std(costs, ddof=1) / math.sqrt(trials))
     return mean, sem
@@ -438,8 +429,8 @@ class GroupTable:
 
 
 @functools.lru_cache(maxsize=64)
-def _element_basis(d: int) -> tuple[Ket, ...]:
-    return tuple(basis_ket(d, h) for h in range(d))
+def _element_basis(d: int) -> MeasurementBasis:
+    return MeasurementBasis(tuple(basis_ket(d, h) for h in range(d)))
 
 
 @functools.lru_cache(maxsize=256)

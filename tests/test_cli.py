@@ -288,6 +288,26 @@ def test_sync_sim_bad_threads_env(capsys, monkeypatch):
     assert code == 1 and "FRAME_SYNC_THREADS" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_sync_sim_nonpositive_threads_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("FRAME_SYNC_THREADS", value)
+    code, out, err = run(capsys, "sync-sim", "--N", "2", "--trials", "200")
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error:") and "FRAME_SYNC_THREADS" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["x", 0, -1, 2.5, True])
+def test_sync_sim_bad_threads_in_config_file(capsys, tmp_path, value):
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps({"threads": value}))
+    code, out, err = run(capsys, "sync-sim", "--config", str(path),
+                         "--N", "2", "--trials", "200")
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error:") and "threads" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sync_sim_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "monte_carlo_cost",
                         lambda *a, **k: (99.0, 1e-6))
@@ -389,6 +409,14 @@ def test_output_file(capsys, tmp_path):
     text = path.read_text()
     assert text.startswith("# frame-sync ")
     assert "flat,2," in text
+
+
+def test_output_file_in_missing_directory_exits_one(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "report.csv"
+    code, out, err = run(capsys, "cost", "--N", "2", "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error:") and "report.csv" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_config_file_merge_through_main(capsys, tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from framesync import (ContractViolation, DensityMatrix, Generator, Ket,
                        RandomSource, as_generator, basis_ket, fidelity, ket,
                        measure, phase_shift, spectral_projector, tensor)
+from framesync.core import MeasurementBasis
 
 RT2 = np.sqrt(2.0)
 
@@ -286,3 +287,19 @@ def test_fidelity_of_state_with_itself(seed):
     a = gen.normal(size=5) + 1j * gen.normal(size=5)
     v = ket(a).normalized()
     assert fidelity(DensityMatrix.pure(v), v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_checked_basis_measures_like_the_ket_list():
+    state = ket([0.5, 0.5j, -0.5, 0.5])
+    kets = [ket([1.0, 1.0]).normalized(), ket([1.0, -1.0]).normalized()]
+    checked = MeasurementBasis(tuple(kets))
+    src = RandomSource(17)
+    for i in range(20):
+        (k1, v1, p1), (k2, v2, p2) = (measure(state, b, src.split(i)) for b in (kets, checked))
+        assert k1 == k2 and p1 == p2
+        np.testing.assert_array_equal(v1.amplitudes, v2.amplitudes)
+    for bad in ([basis_ket(2, 0), ket([1.0, 1.0]).normalized()],   # not orthonormal
+                [basis_ket(3, 0), basis_ket(3, 1)],                 # incomplete
+                [basis_ket(2, 0), basis_ket(3, 1)]):                # mixed dimensions
+        with pytest.raises(ContractViolation):
+            MeasurementBasis(tuple(bad))

@@ -8,6 +8,7 @@ from framesync import (ContractViolation, CostFunction, CovariantSeed,
                        EstimateDensity, RandomSource, brute_force_min_cost,
                        estimate_density, likelihood_cost, min_joint_cost,
                        sample_estimate, variance_cost)
+from framesync.estimation import _outcome_probabilities
 from conftest import random_unit
 
 TWO_PI = 2 * math.pi
@@ -177,6 +178,23 @@ def test_sample_estimate_error_is_offset_covariant(phi):
     shifted = sample_estimate(dens, phi, src)
     diff = (shifted - base - phi) % TWO_PI
     assert min(diff, TWO_PI - diff) < 1e-9
+
+
+def test_mixture_outcome_law_is_the_density_pointwise():
+    gen = np.random.default_rng(44)
+    profiles = [np.abs(_random_profile(s, n)) for s, n in ((1, 1), (2, 2), (3, 5), (4, 17))]
+    gapped = np.zeros(9)
+    gapped[[0, 3, 4, 8]] = np.abs(_random_profile(5, 4))
+    profiles += [gapped, np.array([0.0, 0.0, 1.0])]
+    for m in profiles:
+        dens = estimate_density(m)
+        size = m.size
+        for u in gen.uniform(0.0, TWO_PI / size, size=50):
+            probs = _outcome_probabilities(dens, u)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+            deltas = u + TWO_PI * np.arange(size) / size
+            np.testing.assert_allclose(size / TWO_PI * probs, dens.pdf(deltas),
+                                       rtol=0, atol=1e-12)
 
 
 def test_sample_estimate_matches_density_ks():

@@ -151,6 +151,21 @@ def test_monte_carlo_cost_threads_do_not_change_the_numbers():
     assert serial == threaded
 
 
+@pytest.mark.parametrize("threads", [None, 4])
+def test_monte_carlo_cost_runs_one_protocol_trial_per_trial(monkeypatch, threads):
+    calls = []
+    original = SyncProtocol.trial
+
+    def counted(self, phi_true, rng):
+        calls.append(phi_true)
+        return original(self, phi_true, rng)
+
+    monkeypatch.setattr(SyncProtocol, "trial", counted)
+    monte_carlo_cost(flat_state(2), variance_cost(), 2500, RandomSource(6),
+                     threads=threads)
+    assert len(calls) == 2500
+
+
 def test_monte_carlo_cost_coverage_over_many_seeds():
     # 4-sigma misses should be rare: demand at least 95 hits in 100 runs
     state = flat_state(2)
