@@ -10,7 +10,7 @@ from .core import (ATOL, ContractViolation, DensityMatrix, Generator, Ket,
                    Operator, RandomSource, as_generator, basis_ket, fidelity,
                    ket, measure, phase_shift, spectral_projector, tensor)
 from .estimation import (CostFunction, CovariantSeed, EstimateDensity,
-                         brute_force_min_cost, cost_value, estimate_density,
+                         brute_force_min_cost, estimate_density,
                          likelihood_cost, min_joint_cost, sample_estimate,
                          variance_cost)
 from .protocols import (ClockParams, ConditionalOutcome, FourierOutcome,
@@ -18,8 +18,8 @@ from .protocols import (ClockParams, ConditionalOutcome, FourierOutcome,
                         alice_fourier_basis, alice_measure, clock_phase,
                         sector_form_residual, fidelity_after_relay,
                         finite_group_align, frameness, frameness_of_ket,
-                        monte_carlo_cost, no_go_witness, run_sync_trial,
-                        si_teleport, teleport_with_mismatch)
+                        monte_carlo_cost, no_go_witness, si_teleport,
+                        teleport_with_mismatch)
 from .states import (BipartiteFrameState, NotInvariantState, SchmidtSector,
                      expand, flat_state, optimal_frameness_state,
                      sector_decompose, sector_magnitudes, sine_state,

@@ -185,8 +185,7 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
         state = frame_state_from_spec(cfg.state, n, cfg.cost)
         cost = cost_from_spec(cfg.cost, state.total)
         analytic = min_joint_cost(state.magnitudes(), cost)
-        mean, sem = monte_carlo_cost(state, cost, trials, root.split(n),
-                                     threads=cfg.threads)
+        mean, sem = monte_carlo_cost(state, cost, trials, root.split(n))
         z = (mean - analytic) / sem if sem > 0 else 0.0
         worst_z = max(worst_z, abs(z))
         table.add(state.total, _state_label(cfg), analytic, mean, sem, z,
@@ -323,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = merge_file_config(vars(args), args.config)
+    # "threads" changes no work; it is still validated so that config files
+    # and environments that set it keep running.
     threads = merged.get("threads")
     env_threads = os.environ.get("FRAME_SYNC_THREADS")
     if threads is not None:
@@ -351,7 +352,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out=merged.get("out"),
         grid=merged["grid"] if merged.get("grid") is not None else 24,
         group_order=merged.get("group_order"),
-        threads=threads,
     )
 
 

@@ -236,7 +236,6 @@ class RunConfig:
     out: str | None = None
     grid: int = 24
     group_order: int | None = None
-    threads: int | None = None
 
     _FILE_KEYS = ("seed", "trials", "N", "N_range", "state", "cost", "psi0",
                   "oracle", "degrees", "json", "out", "grid", "d", "threads")

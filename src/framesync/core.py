@@ -137,6 +137,11 @@ class Generator:
         if any(b <= a for a, b in zip(eigs, eigs[1:])):
             raise ContractViolation("eigenvalues must be strictly increasing")
         object.__setattr__(self, "levels", lv)
+        slices, off = {}, 0
+        for n, d in lv:
+            slices[n] = slice(off, off + d)
+            off += d
+        object.__setattr__(self, "_slices", slices)
 
     @classmethod
     def ladder(cls, dim: int) -> "Generator":
@@ -166,21 +171,17 @@ class Generator:
         return tuple((n, l) for n, d in self.levels for l in range(1, d + 1))
 
     def has_level(self, n: int) -> bool:
-        return any(m == n for m, _ in self.levels)
+        return n in self._slices
 
     def degeneracy(self, n: int) -> int:
-        for m, d in self.levels:
-            if m == n:
-                return d
-        return 0
+        s = self._slices.get(n)
+        return 0 if s is None else s.stop - s.start
 
     def level_slice(self, n: int) -> slice:
-        off = 0
-        for m, d in self.levels:
-            if m == n:
-                return slice(off, off + d)
-            off += d
-        raise ContractViolation(f"generator has no level {n}")
+        s = self._slices.get(n)
+        if s is None:
+            raise ContractViolation(f"generator has no level {n}")
+        return s
 
     def index_of(self, n: int, l: int) -> int:
         s = self.level_slice(n)

@@ -9,12 +9,14 @@ the best any joint measurement can do is
 
 and the optimal measurement's error delta = estimate - truth is distributed
 with density |sum_n m_n exp(i n delta)|^2 / (2 pi).  ``brute_force_min_cost``
-re-derives the optimum by searching covariant rank-one seed phases directly,
-without using the closed form; it exists so the formula can be checked
-against an implementation that cannot share its bugs.
+re-derives the optimum by searching covariant rank-one seed phases theta
+directly, without using the closed form: a seed costs c_0 + Re(u^dagger H u)
+with u = exp(i theta) and H[n, n+q] = c_q conj(e_n) e_{n+q}.  It exists so the
+formula can be checked against an implementation that cannot share its bugs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,10 +60,6 @@ class CostFunction:
             if c != 0.0:
                 out += c * np.cos(q * phi)
         return out if out.shape else float(out)
-
-
-def cost_value(cost: CostFunction, phi) -> float:
-    return cost.value(phi)
 
 
 def variance_cost() -> CostFunction:
@@ -199,112 +197,81 @@ def sample_estimate(density: EstimateDensity, phi_true: float, rng: RngLike) -> 
     return float((phi_true + u + k * step) % TWO_PI)
 
 
-def _pair_terms(e, cost: CostFunction):
-    """Weighted phase-difference terms of the covariant-seed objective.
+def _seed_weights(e, cost: CostFunction):
+    """Weight matrix of the covariant-seed objective.
 
-    Returns (c0, [(n, n+q, weight, offset)]) so that the average cost of the
-    seed with phases theta is
-    c0 + sum weight * cos((theta[j] + offset_arg_j) - (theta[i] + offset_arg_i)),
-    folded here into a single offset per term.
+    Returns (c0, H) with H strictly upper triangular,
+    H[n, n+q] = c_q conj(e_n) e_{n+q}, so that the seed with phases theta
+    has average cost c0 + Re(u^dagger H u), u = exp(i theta).
     """
     e = np.asarray(e, dtype=complex)
-    m = np.abs(e)
-    arg = np.angle(e)
-    terms = []
-    for q, c in enumerate(cost.cq, start=1):
-        if c == 0.0 or q >= e.size:
-            continue
-        for n in range(e.size - q):
-            w = c * m[n] * m[n + q]
-            if w != 0.0:
-                terms.append((n, n + q, w, arg[n + q] - arg[n]))
-    return cost.c0, terms
+    h = np.zeros((e.size, e.size), dtype=complex)
+    rows = np.arange(e.size)
+    for q, c in enumerate(cost.cq[:e.size - 1], start=1):
+        h[rows[:-q], rows[q:]] = c * e[:-q].conj() * e[q:]
+    return cost.c0, h
 
 
-def _seed_cost(c0: float, terms, theta: np.ndarray) -> float:
-    total = c0
-    for i, j, w, off in terms:
-        total += w * math.cos(theta[j] - theta[i] + off)
-    return total
+def _grid_search(c0, h, grid_points):
+    """Exhaustive search of the phase grid.
 
-
-def _grid_search(c0, terms, n_levels, grid_points):
-    """Exhaustive search of the phase grid; feasible up to three free phases."""
+    The last one or two free phases span one broadcast plane p; any earlier
+    phase is looped.  With u = (a, p) and H upper triangular,
+    u^dagger H u = a^dagger H_aa a + (a^dagger H_ap) p + p^dagger H_pp p, and
+    the last term is the same for every loop step.  Ties keep the first grid
+    point in lexicographic order.
+    """
+    n_levels = h.shape[0]
+    if not h.any():  # no weights, or a single level
+        return c0, np.zeros(n_levels)
     axis = TWO_PI * np.arange(grid_points) / grid_points
-    free = n_levels - 1
-    if free == 0 or not terms:
-        return c0 + sum(w * math.cos(off) for _, _, w, off in terms), np.zeros(n_levels)
-
-    best_val = math.inf
-    best = np.zeros(n_levels)
-    if free == 1:
-        vals = np.full(grid_points, c0)
-        for i, j, w, off in terms:
-            tj = axis if j == 1 else 0.0
-            ti = axis if i == 1 else 0.0
-            vals = vals + w * np.cos(tj - ti + off)
+    head = max(1, n_levels - 2)
+    plane = (grid_points,) * (n_levels - head)
+    p = np.exp(1j * np.array(np.meshgrid(*[axis] * len(plane), indexing="ij")))
+    p = p.reshape(len(plane), -1)
+    tail = c0 + (p.conj() * (h[head:, head:] @ p)).sum(axis=0).real
+    best_val, best = math.inf, None
+    for lead in itertools.product(range(grid_points), repeat=head - 1):
+        a = np.exp(1j * axis[[0, *lead]])
+        ac = a.conj()
+        vals = tail + (ac @ h[:head, :head] @ a).real + (ac @ h[:head, head:] @ p).real
         k = int(np.argmin(vals))
-        return float(vals[k]), np.array([0.0, axis[k]])
-    if free == 2:
-        t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-        planes = {0: 0.0, 1: t1, 2: t2}
-        vals = np.full(t1.shape, c0)
-        for i, j, w, off in terms:
-            vals = vals + w * np.cos(planes[j] - planes[i] + off)
-        k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        return float(vals[k]), np.array([0.0, axis[k[0]], axis[k[1]]])
-    if free == 3:
-        t2, t3 = np.meshgrid(axis, axis, indexing="ij")
-        for a1 in axis:
-            planes = {0: 0.0, 1: a1, 2: t2, 3: t3}
-            vals = np.full(t2.shape, c0)
-            for i, j, w, off in terms:
-                vals = vals + w * np.cos(planes[j] - planes[i] + off)
-            k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            if vals[k] < best_val:
-                best_val = float(vals[k])
-                best = np.array([0.0, a1, axis[k[0]], axis[k[1]]])
-        return best_val, best
-    raise ContractViolation("exhaustive grid search supports at most 3 free phases")
+        if vals[k] < best_val:
+            best_val, best = float(vals[k]), (0, *lead, *np.unravel_index(k, plane))
+    return best_val, axis[list(best)]
 
 
-def _coordinate_descent(c0, terms, n_levels, restarts, rng):
+def _coordinate_descent(c0, h, restarts, rng):
     """Cyclic exact line search from random restarts.
 
-    Restricted to one coordinate t, the objective collapses to a single
-    sinusoid |Z| cos(t + arg Z), so each update jumps straight to the
-    continuous minimizer t = pi - arg Z; restarts guard against the rare
-    non-global critical point.
+    Restricted to one coordinate theta_n, the objective collapses to the
+    single sinusoid Re(exp(-i theta_n) g) with g = ((H + H^dagger) u)_n, so
+    each update jumps straight to the continuous minimizer
+    theta_n = pi + arg g; restarts guard against the rare non-global
+    critical point.
     """
     gen = as_generator(rng)
-    by_coord = {}
-    for t in terms:
-        by_coord.setdefault(t[0], []).append(t)
-        by_coord.setdefault(t[1], []).append(t)
-
+    n_levels = h.shape[0]
+    sym = h + h.conj().T
     best_val = math.inf
     best = np.zeros(n_levels)
     for _ in range(max(1, restarts)):
         theta = np.concatenate(([0.0], gen.uniform(0.0, TWO_PI, size=n_levels - 1)))
-        current = _seed_cost(c0, terms, theta)
+        u = np.exp(1j * theta)
+        current = c0 + (u.conj() @ (h @ u)).real
         for _ in range(500):
             for n in range(1, n_levels):
-                mine = by_coord.get(n)
-                if not mine:
-                    continue
-                z = 0.0j
-                for i, j, w, off in mine:
-                    gamma = (theta[i] - off) if j == n else (theta[j] + off)
-                    z += w * complex(math.cos(gamma), -math.sin(gamma))
-                if abs(z) > 0.0:
-                    theta[n] = (math.pi - math.atan2(z.imag, z.real)) % TWO_PI
-            new = _seed_cost(c0, terms, theta)
+                g = sym[n] @ u
+                if abs(g) > 0.0:
+                    theta[n] = (math.pi + math.atan2(g.imag, g.real)) % TWO_PI
+                    u[n] = complex(math.cos(theta[n]), math.sin(theta[n]))
+            new = c0 + (u.conj() @ (h @ u)).real
             if current - new < 1e-14:
                 current = new
                 break
             current = new
         if current < best_val:
-            best_val = current
+            best_val = float(current)
             best = theta.copy()
     return best_val, best
 
@@ -320,23 +287,20 @@ def brute_force_min_cost(e, cost: CostFunction, grid_points: int = 360, *,
     Returns the best value found, or with ``return_seed=True`` a
     (value, CovariantSeed) pair.
     """
-    m = _magnitudes(e)  # validates normalization
-    n_levels = m.size
-    c0, terms = _pair_terms(e, cost)
+    free = _magnitudes(e).size - 1  # validates normalization
+    c0, h = _seed_weights(e, cost)
     if grid_points < 4:
         raise ContractViolation("grid needs at least 4 points per phase")
-    free = n_levels - 1
 
     if method == "auto":
         method = "grid" if free <= 2 else "descent"
     if method == "grid":
         if free > 3:
             raise ContractViolation("grid method supports at most 3 free phases")
-        val, theta = _grid_search(c0, terms, n_levels, grid_points)
+        val, theta = _grid_search(c0, h, grid_points)
     elif method == "descent":
         val, theta = _coordinate_descent(
-            c0, terms, n_levels, restarts,
-            rng if rng is not None else RandomSource(0))
+            c0, h, restarts, rng if rng is not None else RandomSource(0))
     else:
         raise ContractViolation(f"unknown method {method!r}")
 

@@ -177,19 +177,13 @@ class SyncProtocol:
         return phi_hat, self.outcomes[k]
 
 
-def run_sync_trial(state: BipartiteFrameState, phi_true: float, rng: RngLike):
-    """One protocol run: (Bob's estimate in [0, 2 pi), Alice's outcome record)."""
-    return SyncProtocol(state).trial(float(phi_true), rng)
-
-
 def monte_carlo_cost(state: BipartiteFrameState, cost: CostFunction, trials: int,
-                     rng: RandomSource, *, threads: int | None = None):
+                     rng: RandomSource):
     """Sample mean and standard error of the cost over seeded trials.
 
     The offset is drawn uniformly per trial.  Trials run serially in blocks of
     ``TRIAL_BLOCK``; block b draws from the stream ``rng.split(b)``, so the
-    numbers depend only on ``rng`` and ``trials``.  ``threads`` is accepted
-    for compatibility and has no effect.
+    numbers depend only on ``rng`` and ``trials``.
     """
     if trials < 100:
         raise ContractViolation("need at least 100 trials for a standard error")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from framesync import (ContractViolation, CostFunction, CovariantSeed,
                        EstimateDensity, RandomSource, brute_force_min_cost,
                        estimate_density, likelihood_cost, min_joint_cost,
-                       sample_estimate, variance_cost)
+                       optimal_frameness_state, sample_estimate, variance_cost)
 from framesync.estimation import _outcome_probabilities
 from conftest import random_unit
 
@@ -256,6 +256,40 @@ def test_brute_force_seed_aligns_every_weighted_pair():
         align = math.cos(theta[n + 1] - theta[n] + arg[n + 1] - arg[n])
         assert align == pytest.approx(1.0, abs=1e-9)
     assert val == pytest.approx(min_joint_cost(e, cost), abs=1e-9)
+
+
+def _explicit_seed_cost(e, cost, theta):
+    """Average cost of the covariant seed with phases theta, term by term."""
+    m, arg = np.abs(e), np.angle(e)
+    total = cost.c0
+    for q, c in enumerate(cost.cq, start=1):
+        for n in range(len(e) - q):
+            total += c * m[n] * m[n + q] * math.cos(
+                theta[n + q] - theta[n] + arg[n + q] - arg[n])
+    return total
+
+
+@pytest.mark.parametrize("cost", [variance_cost(), likelihood_cost(3)],
+                         ids=["variance", "likelihood"])
+@pytest.mark.parametrize("n_levels, kw", [
+    (2, dict(method="grid", grid_points=24)),
+    (3, dict(method="grid", grid_points=24)),
+    (4, dict(method="grid", grid_points=12)),
+    (7, dict(method="descent", rng=RandomSource(5))),
+], ids=["grid-1-free", "grid-2-free", "grid-3-free", "descent"])
+def test_brute_force_value_is_the_cost_of_its_seed(cost, n_levels, kw):
+    for seed in range(3):
+        e = _random_profile(100 + 10 * n_levels + seed, n_levels)
+        val, found = brute_force_min_cost(e, cost, return_seed=True, **kw)
+        assert val == pytest.approx(_explicit_seed_cost(e, cost, found.phases),
+                                    abs=1e-12)
+
+
+def test_brute_force_likelihood_descent_at_n32():
+    cost = likelihood_cost(32)
+    e = optimal_frameness_state(32, cost).amps
+    got = brute_force_min_cost(e, cost, method="descent", rng=RandomSource(0))
+    assert got == pytest.approx(min_joint_cost(e, cost), abs=1e-9)
 
 
 def test_brute_force_descent_replays_with_random_source():

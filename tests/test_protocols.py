@@ -11,7 +11,7 @@ from framesync import (ClockParams, ContractViolation, DensityMatrix,
                        fidelity_after_relay, finite_group_align, flat_state,
                        frameness, frameness_of_ket, ket, likelihood_cost,
                        min_joint_cost, monte_carlo_cost, no_go_witness,
-                       optimal_frameness_state, run_sync_trial, si_teleport,
+                       optimal_frameness_state, si_teleport,
                        sine_state, single_sector_state, expand,
                        teleport_with_mismatch, tensor, variance_cost)
 from framesync.protocols import _fourier_family
@@ -121,8 +121,8 @@ def test_per_outcome_cost_equals_joint_optimum():
 def test_sync_trial_replays_and_stays_in_range():
     state = flat_state(3)
     src = RandomSource(4, (2,))
-    a = run_sync_trial(state, 1.2, src)
-    b = run_sync_trial(state, 1.2, src)
+    a = SyncProtocol(state).trial(1.2, src)
+    b = SyncProtocol(state).trial(1.2, src)
     assert a[0] == b[0] and a[1].outcome == b[1].outcome
     assert 0.0 <= a[0] < TWO_PI
 
@@ -143,16 +143,7 @@ def test_monte_carlo_cost_hits_the_formula():
     assert abs(mean - 0.4) < 4 * sem
 
 
-def test_monte_carlo_cost_threads_do_not_change_the_numbers():
-    state = flat_state(2)
-    serial = monte_carlo_cost(state, variance_cost(), 600, RandomSource(3))
-    threaded = monte_carlo_cost(state, variance_cost(), 600, RandomSource(3),
-                                threads=4)
-    assert serial == threaded
-
-
-@pytest.mark.parametrize("threads", [None, 4])
-def test_monte_carlo_cost_runs_one_protocol_trial_per_trial(monkeypatch, threads):
+def test_monte_carlo_cost_runs_one_protocol_trial_per_trial(monkeypatch):
     calls = []
     original = SyncProtocol.trial
 
@@ -161,8 +152,7 @@ def test_monte_carlo_cost_runs_one_protocol_trial_per_trial(monkeypatch, threads
         return original(self, phi_true, rng)
 
     monkeypatch.setattr(SyncProtocol, "trial", counted)
-    monte_carlo_cost(flat_state(2), variance_cost(), 2500, RandomSource(6),
-                     threads=threads)
+    monte_carlo_cost(flat_state(2), variance_cost(), 2500, RandomSource(6))
     assert len(calls) == 2500
 
 
