@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import (COST_N_CAP, DEMO_N_CAP, RunConfig, UsageError, cost_from_spec,
-                     cost_label, frame_state_from_spec, ket_from_spec,
+from .config import (COST_N_CAP, DEMO_N_CAP, GRID_CAP, RunConfig, UsageError,
+                     cost_from_spec, cost_label, frame_state_from_spec, ket_from_spec,
                      merge_file_config, parse_n_range, resource_from_spec)
 from .core import ContractViolation, Generator, RandomSource
 from .estimation import brute_force_min_cost, min_joint_cost
@@ -198,7 +198,9 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
 
 def cmd_teleport_demo(cfg: RunConfig) -> ReportTable:
     psi, _ = ket_from_spec(cfg.state if cfg.state is not None else cfg.psi0)
-    points = max(2, cfg.grid)
+    points = cfg.grid
+    if not 2 <= points <= GRID_CAP:
+        raise UsageError(f"grid must be in 2..{GRID_CAP}")
     table = ReportTable(
         ["phi", "ui_fidelity", "si_fidelity"],
         metadata={"command": "teleport-demo", "config": cfg.echo(),
@@ -320,21 +322,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_int(merged: dict, key: str, name: str, positive: bool = False) -> None:
+    """Exit 1 on a config-file value that is not an integer (bools included),
+    or not positive when ``positive``; flag values are integers already."""
+    value = merged.get(key)
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise UsageError(f"config {name} must be {kind}, got {value!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = merge_file_config(vars(args), args.config)
+    for key, name in (("seed", "seed"), ("trials", "trials"), ("n", "N"),
+                      ("grid", "grid"), ("group_order", "d")):
+        _check_int(merged, key, name)
     # "threads" changes no work; it is still validated so that config files
     # and environments that set it keep running.
-    threads = merged.get("threads")
+    _check_int(merged, "threads", "threads", positive=True)
     env_threads = os.environ.get("FRAME_SYNC_THREADS")
-    if threads is not None:
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise UsageError(f"config threads must be a positive integer, got {threads!r}")
-    elif env_threads:
+    if merged.get("threads") is None and env_threads:
         try:
-            threads = int(env_threads)
+            positive = int(env_threads) >= 1
         except ValueError:
-            threads = None
-        if threads is None or threads < 1:
+            positive = False
+        if not positive:
             raise UsageError(
                 f"FRAME_SYNC_THREADS must be a positive integer, got {env_threads!r}")
     return RunConfig(

@@ -32,6 +32,7 @@ FAMILIES = ("flat", "sine-paper", "optimal", "single-sector")
 
 COST_N_CAP = 512   # profile-only commands
 DEMO_N_CAP = 64    # anything that expands a full statevector
+GRID_CAP = 4096    # teleport-demo phase grid points
 
 
 class UsageError(ValueError):

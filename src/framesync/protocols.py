@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ATOL, ContractViolation, DensityMatrix, Generator, Ket,
+from .core import (ContractViolation, DensityMatrix, Generator, Ket,
                    MeasurementBasis, RandomSource, RngLike, as_generator,
-                   basis_ket, fidelity, measure, phase_shift, tensor)
+                   basis_ket, measure, phase_shift, tensor)
 from .estimation import (CostFunction, EstimateDensity, estimate_density,
                          min_joint_cost, sample_estimate)
 from .states import BipartiteFrameState, expand, sector_magnitudes
@@ -215,26 +215,19 @@ def frameness_of_ket(e_ket: Ket, gen_a: Generator, gen_b: Generator,
     return -min_joint_cost(mags, cost)
 
 
-def _shift_clock_unitaries(dim: int):
-    """Generalized X (cyclic shift) and Z (level phase) on ``dim`` levels."""
-    x = np.zeros((dim, dim), dtype=complex)
-    x[np.arange(dim), (np.arange(dim) - 1) % dim] = 1.0   # X|j> = |j+1 mod d>
-    z = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    return x, z
-
-
-def _bell_basis(dim: int):
-    """Orthonormal maximally entangled basis (U_ab x I)|Phi+> with U_ab = X^a Z^b."""
-    x, z = _shift_clock_unitaries(dim)
-    phi_plus = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
-    basis = []
-    corrections = []
-    for a in range(dim):
-        for b in range(dim):
-            u = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-            basis.append(Ket(np.kron(u, np.eye(dim)) @ phi_plus))
-            corrections.append(u)
-    return basis, corrections
+@functools.lru_cache(maxsize=64)
+def _corrections(d: int) -> np.ndarray:
+    """Read-only (d^2, d, d) stack of X^a Z^b at index a*d + b, set by index:
+    (X^a Z^b)[(j+a) mod d, j] = w^{bj} with w = exp(2 pi i / d).  Because
+    (U x I)|Phi+> = vec(U)/sqrt(d), the stack reshaped to (d^2, d^2) over
+    sqrt(d) is the Bell basis."""
+    j = np.arange(d)
+    a, b = np.divmod(np.arange(d * d), d)
+    stack = np.zeros((d * d, d, d), dtype=complex)
+    stack[np.arange(d * d)[:, None], (j + a[:, None]) % d, j] = np.exp(
+        2j * np.pi * (np.outer(b, j) % d) / d)
+    stack.setflags(write=False)
+    return stack
 
 
 def si_teleport(alpha, phi: float) -> Ket:
@@ -271,29 +264,24 @@ def teleport_with_mismatch(input_state: Ket, phi: float,
     default), except each correction C becomes U_phi C U_phi^dagger because
     Bob's reference differs from Alice's by the phase offset.  Returns the
     outcome-averaged output state; exact, no sampling.
+
+    Bell rows are vec(C)/sqrt(d), since (C x I)|Phi+> = vec(C)/sqrt(d), and
+    U_phi C U_phi^dagger = C * (s s^dagger) entrywise for U_phi = diag(s);
+    the average is one sum of |o_k><o_k| over unnormalized outcomes o_k.
     """
     psi = input_state.require_unit(what="input state")
     d = psi.dim
     if d != resource_dim:
         raise ContractViolation(
             f"input dimension {d} does not match the entangled resource dimension {resource_dim}")
-    g = Generator.ladder(d)
-    u_phi = phase_shift(g, phi)
-    bell, corrections = _bell_basis(d)
-
-    phi_plus = Ket(np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
-    joint = tensor(psi, phi_plus)                       # S x (A' B)
-    cond = np.vstack([b.amplitudes for b in bell]).conj() @ joint.amplitudes.reshape(d * d, d)
-
-    rho = np.zeros((d, d), dtype=complex)
-    for row, c in zip(cond, corrections):
-        p = float(np.vdot(row, row).real)
-        if p <= 0.0:
-            continue
-        pre = row / math.sqrt(p)
-        out = (u_phi @ c @ u_phi.conj().T) @ pre
-        rho += p * np.outer(out, out.conj())
-    return DensityMatrix(rho)
+    corrections = _corrections(d)
+    bell = corrections.reshape(d * d, d * d) / math.sqrt(d)
+    # input x |Phi+>, rows (input, Alice's half), columns Bob's half
+    joint = (psi.amplitudes[:, None, None] * np.eye(d)).reshape(d * d, d) / math.sqrt(d)
+    cond = bell.conj() @ joint                          # outcome x Bob
+    s = np.diag(phase_shift(Generator.ladder(d), phi))  # U_phi = diag(s)
+    outs = np.einsum("kij,kj->ki", corrections * np.outer(s, s.conj()), cond)
+    return DensityMatrix(outs.T @ outs.conj())
 
 
 @dataclass(frozen=True)
@@ -311,6 +299,18 @@ class WitnessReport:
         return self.invariance_residual <= atol
 
 
+def _rank_one_commutator_norm(v: np.ndarray, diag: np.ndarray) -> float:
+    """Spectral norm of [|v><v|, D], D = diag(diag) real: |v| |Dv - mu v| with
+    mu = <v|D|v> / <v|v>, the two equal singular values of |v><w| - |w><v|.
+    Not the equal sqrt(|v|^2 |Dv|^2 - <v|D|v>^2): on the witness's top
+    component D is constant, that difference cancels, and what remains is of
+    order sqrt(epsilon) instead of epsilon."""
+    norm2 = float(np.vdot(v, v).real)
+    dv = diag * v
+    mu = np.vdot(v, dv).real / norm2
+    return math.sqrt(norm2) * float(np.linalg.norm(dv - mu * v))
+
+
 def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
                   gen_a: Generator, gen_b: Generator, *,
                   phi_points: int = 256) -> WitnessReport:
@@ -324,6 +324,9 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
     therefore cannot be reproduced on Bob's side.  The report carries the
     commutator residual (should vanish) and the input's distance from phase
     invariance (should not).
+
+    The weights are one ``bincount``; the top component is rank one against a
+    diagonal G_B, so ``_rank_one_commutator_norm`` gives its residual.
     """
     psi0.require_unit(what="input state")
     e_ket.require_unit(what="resource ket")
@@ -336,17 +339,14 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
     joint = tensor(psi0, e_ket).amplitudes
     eig_s = gen_s.eigenvalues()
     eig_b = gen_b.eigenvalues()
-    # level difference per joint basis slot, S x A x B ordering
-    diff = (eig_s[:, None, None] + np.zeros((1, gen_a.dim, 1), dtype=int)
-            + (-eig_b)[None, None, :]).reshape(-1)
+    shape = (gen_s.dim, gen_a.dim, gen_b.dim)
+    # level difference and Bob's level per joint basis slot, S x A x B ordering
+    diff = np.broadcast_to(eig_s[:, None, None] - eig_b, shape).reshape(-1)
+    level_b = np.broadcast_to(eig_b, shape).reshape(-1)
 
-    levels = []
-    weights = []
-    for l in sorted(set(diff.tolist())):
-        w = float(np.sum(np.abs(joint[diff == l]) ** 2))
-        if w > SUPPORT_ATOL:
-            levels.append(int(l))
-            weights.append(w)
+    lowest = int(diff.min())
+    w = np.bincount(diff - lowest, weights=np.abs(joint) ** 2)
+    present = np.flatnonzero(w > SUPPORT_ATOL)
 
     m_max = int(eig_s[np.abs(psi0.amplitudes) > SUPPORT_ATOL].max())
     res_b = np.linalg.norm(
@@ -354,17 +354,15 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
     n_min = int(eig_b[res_b > SUPPORT_ATOL].min())
     l_max = m_max - n_min
 
-    mask = (diff == l_max).astype(float)
-    sigma = (joint * mask)[:, None] * (joint * mask).conj()[None, :]
-    g_b_diag = np.tile(eig_b, gen_s.dim * gen_a.dim).astype(float)
-    comm = sigma * (g_b_diag[:, None] - g_b_diag[None, :])
-    invariance_residual = float(np.linalg.norm(comm, 2))
+    top = np.where(diff == l_max, joint, 0.0)
+    invariance_residual = _rank_one_commutator_norm(top, level_b)
 
     grid = np.arange(phi_points) * (TWO_PI / phi_points)
     shifted = np.exp(-1j * np.outer(grid, eig_s)) * psi0.amplitudes[None, :]
     input_ui_norm = float(np.linalg.norm(shifted - psi0.amplitudes[None, :], axis=1).max())
 
-    return WitnessReport(tuple(levels), tuple(weights), l_max,
+    return WitnessReport(tuple(int(l) for l in present + lowest),
+                         tuple(float(x) for x in w[present]), l_max,
                          invariance_residual, input_ui_norm)
 
 
@@ -428,12 +426,12 @@ def _element_basis(d: int) -> MeasurementBasis:
 
 
 @functools.lru_cache(maxsize=256)
-def _correlated_state(table: tuple, mismatch: int) -> Ket:
-    group = GroupTable(table)
-    d = group.order
+def _correlated_state(row: tuple) -> Ket:
+    """Uniform pair sum_h |h>|row[h]> / sqrt(d), keyed on the group's row of
+    the mismatch (row[h] = mismatch * h), so a cache miss builds no group."""
+    d = len(row)
     amps = np.zeros((d, d), dtype=complex)
-    for h in range(d):
-        amps[h, group.mul(mismatch, h)] = 1.0 / math.sqrt(d)
+    amps[np.arange(d), row] = 1.0 / math.sqrt(d)
     return Ket(amps.reshape(-1))
 
 
@@ -449,7 +447,7 @@ def finite_group_align(group: GroupTable, mismatch: int, rng: RngLike) -> int:
         raise ContractViolation(f"mismatch must be an element index 0..{d - 1}")
     gen = as_generator(rng)
 
-    state = _correlated_state(group.table, mismatch)
+    state = _correlated_state(group.table[mismatch])
     element_basis = _element_basis(d)
     a_out, posterior, _ = measure(state, element_basis, gen)
     b_out, _, _ = measure(posterior, element_basis, gen)

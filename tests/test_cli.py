@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -308,6 +309,34 @@ def test_sync_sim_bad_threads_in_config_file(capsys, tmp_path, value):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_sync_sim_threads_in_config_file_still_runs(capsys, tmp_path):
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps({"threads": 2}))
+    args = ("sync-sim", "--N", "2", "--trials", "200", "--seed", "3")
+    code, threaded, _ = run(capsys, *args, "--config", str(path))
+    _, base, _ = run(capsys, *args)
+    assert code == 0 and data_rows(threaded) == data_rows(base)
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("cost", "seed", "x"),
+    ("cost", "seed", True),
+    ("align", "trials", "x"),
+    ("cost", "N", 2.5),
+    ("teleport-demo", "grid", "x"),
+    ("teleport-demo", "grid", 2.5),
+    ("align", "d", "3"),
+    ("sync-sim", "threads", 1.0),
+])
+def test_non_integer_config_values_exit_one(capsys, tmp_path, command, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error:") and f"config {key} " in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_sync_sim_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "monte_carlo_cost",
                         lambda *a, **k: (99.0, 1e-6))
@@ -362,6 +391,18 @@ def test_teleport_demo_invariant_input(capsys):
     assert all(float(r[1]) == pytest.approx(1.0, abs=1e-12) for r in rows[:-1])
 
 
+def test_teleport_demo_accepts_the_smallest_grid(capsys):
+    code, out, _ = run(capsys, "teleport-demo", "--grid", "2")
+    assert code == 0 and len(data_rows(out)[1]) == 3
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-5", "4097"])
+def test_teleport_demo_grid_out_of_range_exits_one(capsys, grid):
+    code, out, err = run(capsys, "teleport-demo", "--grid", grid)
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error:") and "grid" in err
+
+
 def test_witness_default_report(capsys):
     code, out, _ = run(capsys, "witness")
     assert code == 0
@@ -384,6 +425,16 @@ def test_witness_invariant_input(capsys):
     _, rows = data_rows(out)
     got = dict((r[0], r[1]) for r in rows)
     assert float(got["input_ui_norm"]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_witness_at_the_demo_cap(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "--psi0", "plus", "--state", "optimal",
+                       "--N", "64")
+    assert code == 0 and time.perf_counter() - start < 5.0
+    got = dict((r[0], r[1]) for r in data_rows(out)[1])
+    assert got["l_max"] == "1"
+    assert float(got["invariance_residual"]) <= 1e-12
 
 
 def test_witness_self_check_exit_code(capsys, monkeypatch):

@@ -234,7 +234,7 @@ def test_measure_leading_factor_posterior():
 def test_measure_born_frequencies():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     state = ket(np.sqrt(probs) * np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))
-    basis = [basis_ket(4, i) for i in range(4)]
+    basis = MeasurementBasis([basis_ket(4, i) for i in range(4)])   # checked once
     trials = 100_000
     gen = RandomSource(2024).generator()
     counts = np.zeros(4)

@@ -14,7 +14,10 @@ from framesync import (ClockParams, ContractViolation, DensityMatrix,
                        optimal_frameness_state, si_teleport,
                        sine_state, single_sector_state, expand,
                        teleport_with_mismatch, tensor, variance_cost)
-from framesync.protocols import _fourier_family
+import framesync.protocols as protocols
+from framesync.cli import main
+from framesync.protocols import (_corrections, _fourier_family,
+                                 _rank_one_commutator_norm)
 from conftest import level_preserving_unitary, random_frame_state
 
 TWO_PI = 2 * math.pi
@@ -257,6 +260,56 @@ def test_teleport_output_is_a_valid_density_matrix():
     assert isinstance(rho, DensityMatrix)   # constructor already validates
 
 
+def _shift_clock(d):
+    x = np.roll(np.eye(d), 1, axis=0)                    # X|j> = |j+1 mod d>
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return x, z
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_corrections_are_shift_clock_powers_and_give_a_bell_basis(d):
+    x, z = _shift_clock(d)
+    stack = _corrections(d)
+    assert stack.shape == (d * d, d, d) and not stack.flags.writeable
+    for a in range(d):
+        for b in range(d):
+            want = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+            np.testing.assert_allclose(stack[a * d + b], want, atol=1e-13)
+    bell = stack.reshape(d * d, d * d) / math.sqrt(d)
+    np.testing.assert_allclose(bell.conj() @ bell.T, np.eye(d * d), atol=1e-13)
+
+
+def _teleport_by_outcome(psi, phi):
+    """One Bell outcome at a time: project, normalize, correct in Bob's frame."""
+    d = psi.size
+    x, z = _shift_clock(d)
+    u_phi = np.diag(np.exp(-1j * phi * np.arange(d)))
+    phi_plus = np.eye(d).reshape(-1) / math.sqrt(d)
+    joint = np.kron(psi, phi_plus).reshape(d * d, d)
+    rho = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            c = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+            row = (np.kron(c, np.eye(d)) @ phi_plus).conj() @ joint
+            p = float(np.vdot(row, row).real)
+            if p <= 0.0:
+                continue
+            out = u_phi @ c @ u_phi.conj().T @ (row / math.sqrt(p))
+            rho += p * np.outer(out, out.conj())
+    return rho
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_teleport_matches_the_per_outcome_protocol(d):
+    gen = np.random.default_rng(40 + d)
+    for _ in range(5):
+        psi = ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
+        phi = float(gen.uniform(0.0, TWO_PI))
+        rho = teleport_with_mismatch(psi, phi, resource_dim=d)
+        np.testing.assert_allclose(rho.entries, _teleport_by_outcome(psi.amplitudes, phi),
+                                   atol=1e-12)
+
+
 # ---------------------------------------------------------------- witness
 
 def _ladder2():
@@ -303,6 +356,31 @@ def test_witness_invariant_input_has_zero_ui_norm():
     assert rep.input_ui_norm == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 40, 300])
+def test_rank_one_residual_is_the_dense_commutator_norm(n):
+    gen = np.random.default_rng(n)
+    for _ in range(3):
+        v = gen.normal(size=n) + 1j * gen.normal(size=n)
+        diag = gen.normal(size=n) * 10.0
+        dense = np.outer(v, v.conj()) * (diag[None, :] - diag[:, None])
+        want = np.linalg.norm(dense, 2)
+        assert _rank_one_commutator_norm(v, diag) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0, 17.0, 40.0, 64.0])
+def test_rank_one_residual_vanishes_on_constant_diagonal(c):
+    # the witness's top component sees Bob's generator as one constant level;
+    # a residual that cancels two large numbers would leave ~1e-4 here
+    gen = np.random.default_rng(int(c))
+    for n, support in ((2, 1), (23, 9), (200, 120)):
+        top = np.zeros(n, dtype=complex)
+        top[:support] = gen.normal(size=support) + 1j * gen.normal(size=support)
+        top /= np.linalg.norm(top)
+        diag = gen.integers(0, 65, size=n).astype(float)
+        diag[:support] = c
+        assert _rank_one_commutator_norm(top, diag) <= 1e-12
+
+
 def test_witness_dimension_gates():
     plus = ket([1.0, 1.0]).normalized()
     bell = ket([0.0, 1.0, 1.0, 0.0]).normalized()
@@ -341,6 +419,17 @@ def test_finite_group_alignment_is_exact(order):
         gen = root.split(g).generator()
         for _ in range(50):
             assert finite_group_align(group, g, gen) == g
+
+
+def test_align_run_checks_its_group_once(monkeypatch, capsys):
+    calls = []
+    check = GroupTable.__post_init__
+    monkeypatch.setattr(GroupTable, "__post_init__",
+                        lambda self: (calls.append(1), check(self))[1])
+    protocols._correlated_state.cache_clear()
+    assert main(["align", "--d", "16", "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_finite_group_align_input_gate():
