@@ -86,8 +86,9 @@ def _emit(table: ReportTable, cfg: RunConfig) -> int:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {cfg.out!r}: {exc.strerror or exc}")
+        except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+            raise UsageError(
+                f"cannot write --out {cfg.out!r}: {getattr(exc, 'strerror', None) or exc}")
     else:
         sys.stdout.write(text)
     return table.exit_code
@@ -171,6 +172,8 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
         n_values = list(range(lo, hi + 1))
     else:
         n_values = [cfg.n if cfg.n is not None else 4]
+    if max(n_values) > DEMO_N_CAP:
+        raise UsageError(f"sync-sim N capped at {DEMO_N_CAP}")
     trials = cfg.trials if cfg.trials is not None else 10000
 
     table = ReportTable(
@@ -180,8 +183,6 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
     root = RandomSource(cfg.seed)
     worst_z = 0.0
     for n in n_values:
-        if n > DEMO_N_CAP:
-            raise UsageError(f"sync-sim N capped at {DEMO_N_CAP}")
         state = frame_state_from_spec(cfg.state, n, cfg.cost)
         cost = cost_from_spec(cfg.cost, state.total)
         analytic = min_joint_cost(state.magnitudes(), cost)
@@ -333,11 +334,21 @@ def _check_int(merged: dict, key: str, name: str, positive: bool = False) -> Non
         raise UsageError(f"config {name} must be {kind}, got {value!r}")
 
 
+def _check_str(merged: dict, key: str, name: str) -> None:
+    """Exit 1 on a config-file value that is not a string; flag values are
+    strings already."""
+    value = merged.get(key)
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"config {name} must be a string, got {value!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = merge_file_config(vars(args), args.config)
     for key, name in (("seed", "seed"), ("trials", "trials"), ("n", "N"),
                       ("grid", "grid"), ("group_order", "d")):
         _check_int(merged, key, name)
+    for key, name in (("n_range", "N_range"), ("out", "out")):
+        _check_str(merged, key, name)
     # "threads" changes no work; it is still validated so that config files
     # and environments that set it keep running.
     _check_int(merged, "threads", "threads", positive=True)

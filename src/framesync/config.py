@@ -42,11 +42,16 @@ class UsageError(ValueError):
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"spec file not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}")
+    except (OSError, ValueError) as exc:   # a directory, bad bytes, a NUL in the path
+        raise UsageError(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}")
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    return doc
 
 
 def _as_spec_dict(value, kind: str) -> dict:

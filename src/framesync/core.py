@@ -9,6 +9,7 @@ that level bookkeeping never relies on implicit array positions.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -143,12 +144,12 @@ class Generator:
             off += d
         object.__setattr__(self, "_slices", slices)
 
-    @classmethod
-    def ladder(cls, dim: int) -> "Generator":
-        """Nondegenerate spectrum 0, 1, ..., dim-1."""
+    @staticmethod
+    def ladder(dim: int) -> "Generator":
+        """Nondegenerate spectrum 0, 1, ..., dim-1; one shared instance per dim."""
         if dim < 1:
             raise ContractViolation("ladder needs dim >= 1")
-        return cls(tuple((n, 1) for n in range(dim)))
+        return _ladder(dim)
 
     @property
     def dim(self) -> int:
@@ -191,6 +192,12 @@ class Generator:
 
     def matrix(self) -> Operator:
         return np.diag(self.eigenvalues().astype(complex))
+
+
+@functools.lru_cache(maxsize=128)
+def _ladder(dim: int) -> Generator:
+    """Built and checked once per dim; sharing is safe as Generator is frozen."""
+    return Generator(tuple((n, 1) for n in range(dim)))
 
 
 @dataclass(frozen=True)

@@ -90,12 +90,9 @@ def _magnitudes(e) -> np.ndarray:
 def min_joint_cost(e, cost: CostFunction) -> float:
     """Minimum average cost over all joint measurements, from magnitudes alone."""
     m = _magnitudes(e)
-    total = cost.c0
-    for q, c in enumerate(cost.cq, start=1):
-        if q >= m.size:
-            break
-        total += c * float(np.dot(m[:-q], m[q:]))
-    return total
+    cq = np.asarray(cost.cq[:m.size - 1])
+    lags = np.correlate(m, m, "full")[m.size:m.size + cq.size]  # sum_n m_n m_{n+q}, q >= 1
+    return cost.c0 + float(cq @ lags)
 
 
 @dataclass(frozen=True)

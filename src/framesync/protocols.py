@@ -101,22 +101,25 @@ def alice_fourier_basis(g: Generator) -> list:
     return [Ket(v) for v in vectors]
 
 
-def alice_measure(state: BipartiteFrameState) -> list:
+def alice_measure(state: BipartiteFrameState) -> tuple:
     """Deterministic enumeration of Alice's outcomes on the shared state.
 
     Returns every outcome with its probability and Bob's collapsed state.
-    Probabilities are uniform by construction and sum to one.
+    Probabilities are uniform by construction and sum to one.  The tuple is
+    cached per state, so a sync run and its residual check share one
+    enumeration.
     """
+    return _alice_outcomes(state)
+
+
+@functools.lru_cache(maxsize=8)
+def _alice_outcomes(state: BipartiteFrameState) -> tuple:
     psi = expand(state).amplitudes.reshape(state.gen_a.dim, state.gen_b.dim)
     outcomes, vectors = _fourier_family(state.gen_a, "povm")
     cond = vectors.conj() @ psi          # outcome x Bob dimension
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
-    results = []
-    for label, row, p in zip(outcomes, cond, probs):
-        if p <= 0.0:
-            continue
-        results.append(ConditionalOutcome(label, float(p), Ket(row / math.sqrt(p))))
-    return results
+    return tuple(ConditionalOutcome(label, float(p), Ket(row / math.sqrt(p)))
+                 for label, row, p in zip(outcomes, cond, probs) if p > 0.0)
 
 
 def sector_form_residual(state: BipartiteFrameState) -> float:

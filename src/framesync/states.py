@@ -14,6 +14,8 @@ visible at every call site.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +121,15 @@ class BipartiteFrameState:
         return np.abs(self.amps)
 
 
+@functools.lru_cache(maxsize=1024)
+def _unit_sector(level: int) -> SchmidtSector:
+    """The rank-one sector at ``level``, validated once and shared."""
+    return SchmidtSector(level, (1.0,))
+
+
 def _nondegenerate_state(n_tot: int, amps) -> BipartiteFrameState:
     g = Generator.ladder(n_tot + 1)
-    sectors = tuple(SchmidtSector(n, (1.0,)) for n in range(n_tot + 1))
+    sectors = tuple(_unit_sector(n) for n in range(n_tot + 1))
     return BipartiteFrameState(n_tot, g, g, np.asarray(amps, dtype=complex), sectors)
 
 
@@ -161,22 +169,34 @@ def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameSta
 
     The optimum over unit nonnegative profiles of
     c_0 + sum_q c_q sum_n e_n e_{n+q} is the leading eigenvector of the
-    symmetric banded matrix M with M[n, n+q] = -c_q / 2, which has a
-    nonnegative representative because M has nonnegative entries.
+    symmetric Toeplitz matrix M with M[n, n+q] = -c_q / 2.
+
+    The eigenproblem is solved on the symmetric half only.  M commutes with
+    the reversal J, so its eigenspaces split into symmetric (Jv = v) and
+    antisymmetric parts.  M has nonnegative entries, so its top eigenspace
+    holds a nonnegative v (Perron-Frobenius); then v + Jv is nonnegative,
+    symmetric and nonzero, so the top eigenvalue is reached on the symmetric
+    subspace.  There v = (a, [c], a reversed), and M acts on (a, [c]) as the
+    k x k matrix M[:k, :k] + M[:k, ::-1][:, :k], k = ceil(dim / 2); for odd
+    dim the middle coordinate is rescaled by sqrt(2) to keep it symmetric.
     """
     if n_tot < 1:
         raise ContractViolation("optimal state needs total level >= 1")
     dim = n_tot + 1
-    m = np.zeros((dim, dim))
-    for q, c in enumerate(cost.cq, start=1):
-        if q >= dim or c == 0.0:
-            continue
-        idx = np.arange(dim - q)
-        m[idx, idx + q] = -0.5 * c
-        m[idx + q, idx] = -0.5 * c
+    band = np.zeros(dim)
+    cq = np.asarray(cost.cq[:dim - 1])
+    band[1:cq.size + 1] = -0.5 * cq
+    idx = np.arange(dim)
+    m = band[np.abs(idx[:, None] - idx)]
 
-    vals, vecs = np.linalg.eigh(m)
-    lead = np.abs(vecs[:, -1])   # nonnegative representative of the top eigenspace
+    half, k = dim // 2, dim - dim // 2
+    r = m[:k, :k] + m[:k, ::-1][:, :k]
+    if k > half:               # odd dim: the middle entry appears once in v
+        r[half] /= math.sqrt(2.0)
+        r[:, half] /= math.sqrt(2.0)
+    vals, vecs = np.linalg.eigh(r)
+    y = vecs[:, -1]
+    lead = np.abs(np.concatenate((y[:half], math.sqrt(2.0) * y[half:], y[:half][::-1])))
     lead /= np.linalg.norm(lead)
     residual = float(np.linalg.norm(m @ lead - vals[-1] * lead))
     if residual > RESIDUAL_ATOL:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import framesync.cli as cli
 from framesync import WitnessReport
@@ -335,6 +339,84 @@ def test_non_integer_config_values_exit_one(capsys, tmp_path, command, key, valu
     assert code == 1 and out == ""
     assert err.startswith("frame-sync: error:") and f"config {key} " in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("scaling", "N_range", 5),
+    ("sync-sim", "N_range", ["2..3"]),
+    ("cost", "out", 5),
+    ("scaling", "out", ["report.csv"]),
+])
+def test_non_string_config_values_exit_one(capsys, tmp_path, command, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error:") and f"config {key} must be a string" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", "5", "null", '"N"'])
+def test_config_file_must_hold_an_object(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "cost", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error:") and "JSON object" in err
+
+
+def test_unreadable_config_path_exits_one(capsys, tmp_path):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, tmp_path / "binary.json"):
+        code, out, err = run(capsys, "cost", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("frame-sync: error: cannot read")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_sync_sim_range_beyond_the_cap_exits_before_any_trial(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "monte_carlo_cost", None)   # any trial would raise
+    code, out, err = run(capsys, "sync-sim", "--N-range", "1..65", "--trials", "200")
+    assert code == 1 and out == "" and "capped at 64" in err
+
+
+# Wrong-typed config values.  `trials` stays below 20 000 because `--trials`
+# has no cap yet: a large count is a long run, not a wrong exit.  Strings hold
+# no "/" so that an `out` value stays inside the temporary directory.
+_STRINGS = st.one_of(
+    st.text(alphabet=st.characters(exclude_characters="/\\"), max_size=8),
+    st.sampled_from(["", "8..12", "1..3", "500..512", "5..2", "0..4", "a..b",
+                     "1..2..3", "report.csv", ".", "a\x00b"]))
+_CONFIG_VALUES = {
+    "N_range": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(st.integers(), max_size=3)),
+    "out": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(_STRINGS, max_size=2)),
+    "N": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(st.integers(), max_size=3)),
+    "trials": st.one_of(st.none(), _STRINGS, st.integers(max_value=20000),
+                        st.lists(st.integers(), max_size=3)),
+    "seed": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(st.integers(), max_size=3)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["scaling", "cost", "sync-sim"]),
+       config=st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
+@example(command="scaling", config={"N_range": 5})
+@example(command="cost", config={"out": 5})
+def test_config_value_shapes_exit_cleanly(command, config):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("run.json", "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", "run.json"])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (config, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("frame-sync: ")
+        assert len(err.getvalue().strip().splitlines()) == 1
+    assert elapsed < 20.0, (config, elapsed)
 
 
 def test_sync_sim_self_check_exit_code(capsys, monkeypatch):

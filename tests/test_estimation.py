@@ -101,6 +101,20 @@ def test_min_joint_cost_unmoved_by_trailing_zero_sectors(seed, pad):
         min_joint_cost(e, c), abs=1e-14)
 
 
+@settings(max_examples=60)
+@given(seed=seeds, n=st.integers(1, 40), qmax=st.integers(1, 45))
+def test_min_joint_cost_is_the_per_q_sum(seed, n, qmax):
+    gen = np.random.default_rng(seed)
+    e = _random_profile(seed, n)
+    cost = CostFunction(gen.normal(), tuple(-gen.uniform(0.0, 2.0, size=qmax)))
+    m = np.abs(e)
+    want = cost.c0
+    for q, c in enumerate(cost.cq, start=1):
+        if q < m.size:
+            want += c * float(np.dot(m[:-q], m[q:]))
+    assert min_joint_cost(e, cost) == pytest.approx(want, abs=1e-12)
+
+
 def test_min_joint_cost_requires_normalization():
     with pytest.raises(ContractViolation):
         min_joint_cost([1.0, 1.0], variance_cost())

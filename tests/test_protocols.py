@@ -159,6 +159,16 @@ def test_monte_carlo_cost_runs_one_protocol_trial_per_trial(monkeypatch):
     assert len(calls) == 2500
 
 
+def test_sync_sim_enumerates_alice_outcomes_once_per_n(monkeypatch, capsys):
+    calls = []
+    family = protocols._fourier_family
+    monkeypatch.setattr(protocols, "_fourier_family",
+                        lambda g, w: (calls.append(w), family(g, w))[1])
+    assert main(["sync-sim", "--N-range", "2..4", "--trials", "200"]) == 0
+    capsys.readouterr()
+    assert calls == ["povm"] * 3
+
+
 def test_monte_carlo_cost_coverage_over_many_seeds():
     # 4-sigma misses should be rare: demand at least 95 hits in 100 runs
     state = flat_state(2)

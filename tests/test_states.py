@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesync import (BipartiteFrameState, ContractViolation, Generator, Ket,
-                       NotInvariantState, SchmidtSector, expand, flat_state,
-                       ket, phase_shift, sector_decompose, sector_magnitudes,
+from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
+                       Generator, Ket, NotInvariantState, SchmidtSector, expand,
+                       flat_state, ket, likelihood_cost, min_joint_cost,
+                       phase_shift, sector_decompose, sector_magnitudes,
                        sine_state, single_sector_state, tensor,
                        optimal_frameness_state, variance_cost)
 from conftest import level_preserving_unitary, random_frame_state
@@ -66,6 +67,69 @@ def test_optimal_state_differs_from_fixed_sine_profile():
     a = optimal_frameness_state(4, variance_cost()).amps.real
     b = sine_state(4).amps.real
     assert np.abs(a - b).max() > 1e-3
+
+
+def _toeplitz_cost_matrix(dim, cost):
+    """M[n, n+q] = -c_q / 2, one band at a time."""
+    m = np.zeros((dim, dim))
+    for q, c in enumerate(cost.cq[:dim - 1], start=1):
+        m += np.diag(np.full(dim - q, -0.5 * c), q) + np.diag(np.full(dim - q, -0.5 * c), -q)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, dim=st.integers(2, 41))
+def test_optimal_state_half_solve_matches_full_eigh(seed, dim):
+    # c_1 < 0 keeps M irreducible, so its top eigenvector is unique up to sign
+    gen = np.random.default_rng(seed)
+    cost = CostFunction(gen.normal(), tuple(-gen.uniform(0.05, 2.0, size=gen.integers(1, dim + 3))))
+    vals, vecs = np.linalg.eigh(_toeplitz_cost_matrix(dim, cost))
+    want = np.abs(vecs[:, -1]) / np.linalg.norm(vecs[:, -1])
+    got = optimal_frameness_state(dim - 1, cost).magnitudes()
+    np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_tot", [1, 3, 5, 8, 17, 40])
+def test_optimal_state_half_solve_both_parities_and_costs(n_tot):
+    for cost in (variance_cost(), likelihood_cost(n_tot)):
+        vals, vecs = np.linalg.eigh(_toeplitz_cost_matrix(n_tot + 1, cost))
+        got = optimal_frameness_state(n_tot, cost).magnitudes()
+        np.testing.assert_allclose(got, np.abs(vecs[:, -1]), atol=1e-10)
+        assert min_joint_cost(got, cost) == pytest.approx(cost.c0 - vals[-1], abs=1e-12)
+
+
+@pytest.mark.parametrize("n_tot", [1, 3, 5, 9, 21, 41])
+def test_optimal_state_on_a_degenerate_top_eigenspace(n_tot):
+    # c_2 alone couples even levels to even and odd to odd; at odd N both
+    # chains have the same length, so the top eigenvalue is double
+    cost = CostFunction(1.0, (0.0, -1.0))
+    m = _toeplitz_cost_matrix(n_tot + 1, cost)
+    top = np.linalg.eigvalsh(m)
+    assert top[-1] - top[-2] < 1e-12
+    mags = optimal_frameness_state(n_tot, cost).magnitudes()
+    assert np.all(mags >= 0.0)
+    np.testing.assert_allclose(mags, mags[::-1], atol=1e-14)
+    assert min_joint_cost(mags, cost) == pytest.approx(cost.c0 - top[-1], abs=1e-12)
+
+
+def test_optimal_state_never_solves_at_full_dimension(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for n_tot in (1, 2, 7, 64, 511, 512):
+        optimal_frameness_state(n_tot, variance_cost())
+    assert shapes == [(k, k) for k in (1, 2, 4, 33, 256, 257)]
+
+
+def test_nondegenerate_states_share_their_sectors_and_ladder():
+    a, b = flat_state(5), optimal_frameness_state(7, variance_cost())
+    assert a.sector(3) is b.sector(3)
+    assert Generator.ladder(8) is b.gen_a is b.gen_b is sine_state(7).gen_a
 
 
 # ------------------------------------------------------------- validation
