@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import (COST_N_CAP, DEMO_N_CAP, GRID_CAP, RunConfig, UsageError,
+from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, GRID_CAP, RunConfig, UsageError,
                      cost_from_spec, cost_label, frame_state_from_spec, ket_from_spec,
                      merge_file_config, parse_n_range, resource_from_spec)
-from .core import ContractViolation, Generator, RandomSource
+from .core import ContractViolation, RandomSource, fidelity
 from .estimation import brute_force_min_cost, min_joint_cost
 from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
                         finite_group_align, frameness, monte_carlo_cost,
@@ -30,6 +30,7 @@ from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
 from .states import optimal_frameness_state
 
 TWO_PI = 2.0 * math.pi
+TELEPORT_CHUNK = 1 << 17   # density-matrix entries per teleport_with_mismatch call
 
 
 @dataclass
@@ -206,15 +207,15 @@ def cmd_teleport_demo(cfg: RunConfig) -> ReportTable:
         ["phi", "ui_fidelity", "si_fidelity"],
         metadata={"command": "teleport-demo", "config": cfg.echo(),
                   "angle_unit": "degrees" if cfg.degrees else "radians"})
-    total = 0.0
-    for j in range(points):
-        phi = TWO_PI * j / points
-        rho = teleport_with_mismatch(psi, phi, resource_dim=psi.dim)
-        ui = float(np.real(np.vdot(psi.amplitudes, rho.entries @ psi.amplitudes)))
-        si = fidelity_after_relay(psi.amplitudes, phi)
-        total += ui
-        table.add(_angle_out(phi, cfg), ui, si)
-    table.add("average", total / points, 1.0)
+    phis = TWO_PI * np.arange(points) / points
+    step = max(1, TELEPORT_CHUNK // psi.dim ** 2)
+    ui = np.concatenate([
+        fidelity(teleport_with_mismatch(psi, phis[start:start + step], resource_dim=psi.dim), psi)
+        for start in range(0, points, step)]).tolist()
+    si = fidelity_after_relay(psi.amplitudes, phis).tolist()
+    for phi, ui_phi, si_phi in zip(phis.tolist(), ui, si):
+        table.add(_angle_out(phi, cfg), ui_phi, si_phi)
+    table.add("average", sum(ui) / points, 1.0)
     return table
 
 
@@ -246,6 +247,9 @@ def cmd_align(cfg: RunConfig) -> ReportTable:
     trials = cfg.trials if cfg.trials is not None else 1000
     if trials < 1:
         raise UsageError("align needs at least one trial")
+    if order * trials > ALIGN_WORK_CAP:
+        raise UsageError(f"align work d * trials capped at {ALIGN_WORK_CAP}, "
+                         f"got {order} * {trials}")
     group = GroupTable.cyclic(order)
     root = RandomSource(cfg.seed)
 
@@ -253,11 +257,8 @@ def cmd_align(cfg: RunConfig) -> ReportTable:
                         metadata={"command": "align", "config": cfg.echo()})
     total_errors = 0
     for g in range(order):
-        errors = 0
-        for t in range(trials):
-            est = finite_group_align(group, g, root.split(g).split(t))
-            if est != g:
-                errors += 1
+        gen = root.split(g).generator()   # one stream per mismatch
+        errors = sum(finite_group_align(group, g, gen) != g for _ in range(trials))
         total_errors += errors
         table.add(g, trials, errors)
     table.add("total", order * trials, total_errors)

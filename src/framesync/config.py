@@ -33,6 +33,7 @@ FAMILIES = ("flat", "sine-paper", "optimal", "single-sector")
 COST_N_CAP = 512   # profile-only commands
 DEMO_N_CAP = 64    # anything that expands a full statevector
 GRID_CAP = 4096    # teleport-demo phase grid points
+ALIGN_WORK_CAP = 1 << 17   # align attempts d * trials, about 8 s at d = 64
 
 
 class UsageError(ValueError):
@@ -62,6 +63,28 @@ def _as_spec_dict(value, kind: str) -> dict:
     raise UsageError(f"{kind} spec must be a name, path, or JSON object")
 
 
+def _spec_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _spec_list(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise UsageError(f"{what} must be a list")
+    return values
+
+
+def _spec_floats(values, what: str) -> tuple:
+    if isinstance(values, (list, tuple)):
+        try:
+            return tuple(float(x) for x in values)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"{what} must be a list of numbers, got {values!r}")
+
+
 def cost_from_spec(spec, state_n: int | None = None) -> CostFunction:
     """Resolve a cost spec; likelihood truncation defaults to the state's N."""
     if spec is None or spec == "variance":
@@ -78,12 +101,16 @@ def cost_from_spec(spec, state_n: int | None = None) -> CostFunction:
         qmax = d.get("qmax", state_n)
         if qmax is None:
             raise UsageError("likelihood cost spec needs qmax or a state context")
-        return likelihood_cost(int(qmax))
+        qmax = _spec_int(qmax, "likelihood qmax")
+        if qmax > COST_N_CAP:
+            raise UsageError(f"likelihood qmax capped at {COST_N_CAP}, got {qmax}")
+        return likelihood_cost(qmax)
     if kind == "fourier":
         cq = d.get("cq")
         if not isinstance(cq, (list, tuple)) or not cq:
             raise UsageError("fourier cost spec needs a nonempty cq list [c0, c1, ...]")
-        return CostFunction(float(cq[0]), tuple(float(c) for c in cq[1:]))
+        c = _spec_floats(cq, "fourier cq")
+        return CostFunction(c[0], c[1:])
     raise UsageError(f"unknown cost type {kind!r}")
 
 
@@ -98,10 +125,11 @@ def cost_label(spec) -> str:
 
 def _complex_entry(value, what: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise UsageError(f"{what} must be a number or an [re, im] pair")
+        value = (value, 0.0)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise UsageError(f"{what} must be a number or an [re, im] pair")
+    re, im = _spec_floats(value, what)
+    return complex(re, im)
 
 
 def _generator_from_spec(pairs, what: str) -> Generator:
@@ -109,7 +137,7 @@ def _generator_from_spec(pairs, what: str) -> Generator:
         raise UsageError(f"{what} must be a list of [eigenvalue, degeneracy] pairs")
     try:
         return Generator(tuple((int(n), int(d)) for n, d in pairs))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {what}: {exc}")
 
 
@@ -127,7 +155,7 @@ def frame_state_from_spec(spec, n: int | None, cost_spec,
         n_eff = d.get("N", n)
         if n_eff is None:
             raise UsageError(f"family {family!r} needs N (flag --N or spec field)")
-        n_eff = int(n_eff)
+        n_eff = _spec_int(n_eff, "state N")
         if not 1 <= n_eff <= n_cap:
             raise UsageError(f"N must be in 1..{n_cap}, got {n_eff}")
         if family == "flat":
@@ -137,28 +165,30 @@ def frame_state_from_spec(spec, n: int | None, cost_spec,
         if family == "optimal":
             return optimal_frameness_state(n_eff, cost_from_spec(cost_spec, n_eff))
         if family == "single-sector":
-            return single_sector_state(n_eff, int(d.get("level", 0)))
+            return single_sector_state(n_eff, _spec_int(d.get("level", 0), "single-sector level"))
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
 
     for key in ("N", "generatorA", "generatorB", "sectors"):
         if key not in d:
             raise UsageError(f"explicit state spec is missing field {key!r}")
-    n_tot = int(d["N"])
+    n_tot = _spec_int(d["N"], "state N")
     if not 0 <= n_tot <= n_cap:
         raise UsageError(f"N must be in 0..{n_cap}, got {n_tot}")
     gen_a = _generator_from_spec(d["generatorA"], "generatorA")
     gen_b = _generator_from_spec(d["generatorB"], "generatorB")
+    if not isinstance(d["sectors"], list):
+        raise UsageError("state sectors must be a list")
     amps = np.zeros(n_tot + 1, dtype=complex)
     sectors = []
     for entry in d["sectors"]:
-        if "n" not in entry or "e" not in entry:
+        if not isinstance(entry, dict) or "n" not in entry or "e" not in entry:
             raise UsageError("each sector needs fields 'n' and 'e'")
-        level = int(entry["n"])
+        level = _spec_int(entry["n"], "sector n")
         if not 0 <= level <= n_tot:
             raise UsageError(f"sector level {level} outside 0..{n_tot}")
         amps[level] = _complex_entry(entry["e"], f"sector {level} amplitude")
-        lam = entry.get("lambdas", [1.0])
-        sectors.append(SchmidtSector(level, tuple(float(x) for x in lam)))
+        lam = _spec_floats(entry.get("lambdas", [1.0]), f"sector {level} lambdas")
+        sectors.append(SchmidtSector(level, lam))
     try:
         return BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
     except ContractViolation as exc:
@@ -182,7 +212,8 @@ def ket_from_spec(spec):
     d = _as_spec_dict(spec, "ket")
     if "amplitudes" not in d:
         raise UsageError("ket spec needs an 'amplitudes' field")
-    ampl = np.asarray([_complex_entry(v, "amplitude") for v in d["amplitudes"]])
+    ampl = np.asarray([_complex_entry(v, "amplitude")
+                       for v in _spec_list(d["amplitudes"], "ket amplitudes")])
     if ampl.size > DEMO_N_CAP:
         raise UsageError(f"ket dimension capped at {DEMO_N_CAP}")
     gen = (_generator_from_spec(d["generator"], "generator")
@@ -213,7 +244,8 @@ def resource_from_spec(spec, n: int | None, cost_spec):
     if "amplitudes" in d:
         gen_a = _generator_from_spec(d.get("generatorA"), "generatorA")
         gen_b = _generator_from_spec(d.get("generatorB"), "generatorB")
-        ampl = np.asarray([_complex_entry(v, "amplitude") for v in d["amplitudes"]])
+        ampl = np.asarray([_complex_entry(v, "amplitude")
+                           for v in _spec_list(d["amplitudes"], "resource amplitudes")])
         if ampl.size != gen_a.dim * gen_b.dim:
             raise UsageError("resource amplitudes do not match generator dimensions")
         psi = Ket(ampl)

@@ -94,15 +94,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ContractViolation(f"density matrix must be square, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > ATOL:
-            raise ContractViolation("density matrix must be hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > ATOL:
-            raise ContractViolation(f"density matrix trace must be 1, got {np.trace(m).real!r}")
-        if np.linalg.eigvalsh(m).min() < -ATOL:
-            raise ContractViolation("density matrix must be positive semidefinite")
-        object.__setattr__(self, "entries", _frozen_array(m, complex))
+        object.__setattr__(self, "entries", _checked_densities(m))
 
     @property
     def dim(self) -> int:
@@ -111,6 +105,24 @@ class DensityMatrix:
     @classmethod
     def pure(cls, psi: Ket) -> "DensityMatrix":
         return cls(psi.normalized().outer())
+
+
+def _checked_densities(m) -> np.ndarray:
+    """DensityMatrix's gates on each matrix of the (..., d, d) stack ``m`` at
+    once; returns a read-only complex copy.  A failing stack reports the
+    trace farthest from 1."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ContractViolation(f"density matrix must be square, got shape {m.shape}")
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > ATOL:
+        raise ContractViolation("density matrix must be hermitian within 1e-12")
+    trace = np.trace(m, axis1=-2, axis2=-1).real
+    worst = trace.flat[np.argmax(np.abs(trace - 1.0))]
+    if abs(worst - 1.0) > ATOL:
+        raise ContractViolation(f"density matrix trace must be 1, got {worst!r}")
+    if np.linalg.eigvalsh(m).min() < -ATOL:
+        raise ContractViolation("density matrix must be positive semidefinite")
+    return _frozen_array(m, complex)
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,11 @@ class Generator:
             slices[n] = slice(off, off + d)
             off += d
         object.__setattr__(self, "_slices", slices)
+        try:   # sorted level tables for the vectorized ``degeneracies``
+            object.__setattr__(self, "_level_eigs", _frozen_array(eigs, np.int64))
+            object.__setattr__(self, "_level_degs", _frozen_array([d for _, d in lv], np.int64))
+        except OverflowError:
+            raise ContractViolation("levels and degeneracies must fit in 64-bit integers")
 
     @staticmethod
     def ladder(dim: int) -> "Generator":
@@ -177,6 +194,12 @@ class Generator:
     def degeneracy(self, n: int) -> int:
         s = self._slices.get(n)
         return 0 if s is None else s.stop - s.start
+
+    def degeneracies(self, levels) -> np.ndarray:
+        """``degeneracy`` of each entry of an integer array, 0 where absent."""
+        levels = np.asarray(levels, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._level_eigs, levels), self._level_eigs.size - 1)
+        return np.where(self._level_eigs[at] == levels, self._level_degs[at], 0)
 
     def level_slice(self, n: int) -> slice:
         s = self._slices.get(n)
@@ -325,10 +348,13 @@ def measure(state: Ket, basis: Sequence[Ket] | MeasurementBasis, rng: RngLike):
     return k, posterior, p
 
 
-def fidelity(rho, psi: Ket) -> float:
-    """<psi| rho |psi> for a density matrix (or bare matrix) and a pure state."""
+def fidelity(rho, psi: Ket):
+    """<psi| rho |psi> for a density matrix (or bare matrix) and a pure state;
+    a (..., d, d) stack of matrices gives one value per matrix."""
     m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     v = psi.amplitudes
-    if m.shape != (v.size, v.size):
+    if m.ndim < 2 or m.shape[-2:] != (v.size, v.size):
         raise ContractViolation(f"dimension mismatch: operator {m.shape} vs ket {v.size}")
-    return float(np.real(np.vdot(v, m @ v)))
+    # elementwise sums, so a matrix's value does not depend on the stack it is in
+    f = np.real(((m * v).sum(axis=-1) * v.conj()).sum(axis=-1))
+    return f if f.ndim else float(f)

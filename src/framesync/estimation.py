@@ -39,14 +39,17 @@ class CostFunction:
     cq: tuple
 
     def __post_init__(self):
-        cq = tuple(float(c) for c in self.cq)
-        if any(not np.isfinite(c) for c in (self.c0,) + cq):
+        c0 = float(self.c0)
+        cq = np.array(self.cq, dtype=float)
+        if cq.ndim != 1:
+            raise ContractViolation("cost coefficients c_q must be a flat sequence")
+        if not (np.isfinite(c0) and np.isfinite(cq).all()):
             raise ContractViolation("cost coefficients must be finite")
-        bad = [q + 1 for q, c in enumerate(cq) if c > 0.0]
-        if bad:
-            raise ContractViolation(f"cost is not admissible: c_q > 0 at q = {bad}")
-        object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "cq", cq)
+        bad = np.flatnonzero(cq > 0.0) + 1
+        if bad.size:
+            raise ContractViolation(f"cost is not admissible: c_q > 0 at q = {bad.tolist()}")
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "cq", tuple(cq.tolist()))
 
     @property
     def qmax(self) -> int:

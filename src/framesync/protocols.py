@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ContractViolation, DensityMatrix, Generator, Ket,
-                   MeasurementBasis, RandomSource, RngLike, as_generator,
-                   basis_ket, measure, phase_shift, tensor)
+                   MeasurementBasis, RandomSource, RngLike, _checked_densities,
+                   as_generator, basis_ket, measure, tensor)
 from .estimation import (CostFunction, EstimateDensity, estimate_density,
                          min_joint_cost, sample_estimate)
 from .states import BipartiteFrameState, expand, sector_magnitudes
@@ -218,73 +218,83 @@ def frameness_of_ket(e_ket: Ket, gen_a: Generator, gen_b: Generator,
     return -min_joint_cost(mags, cost)
 
 
-@functools.lru_cache(maxsize=64)
-def _corrections(d: int) -> np.ndarray:
-    """Read-only (d^2, d, d) stack of X^a Z^b at index a*d + b, set by index:
-    (X^a Z^b)[(j+a) mod d, j] = w^{bj} with w = exp(2 pi i / d).  Because
-    (U x I)|Phi+> = vec(U)/sqrt(d), the stack reshaped to (d^2, d^2) over
-    sqrt(d) is the Bell basis."""
-    j = np.arange(d)
-    a, b = np.divmod(np.arange(d * d), d)
-    stack = np.zeros((d * d, d, d), dtype=complex)
-    stack[np.arange(d * d)[:, None], (j + a[:, None]) % d, j] = np.exp(
-        2j * np.pi * (np.outer(b, j) % d) / d)
-    stack.setflags(write=False)
-    return stack
+def _phases(phi) -> np.ndarray:
+    """A phase or a 1-d array of phases as floats, all finite."""
+    phis = np.asarray(phi, dtype=float)
+    if phis.ndim > 1:
+        raise ContractViolation("phases must be a number or a 1-d array")
+    if not np.all(np.isfinite(phis)):
+        raise ContractViolation("phase must be finite")
+    return phis
 
 
-def si_teleport(alpha, phi: float) -> Ket:
+def _rotated(amplitudes: np.ndarray, phi) -> np.ndarray:
+    """exp(-i phi G) amplitudes for the ladder G = diag(0..d-1); a 1-d array
+    of phases gives one row per phase."""
+    return np.exp(-1j * np.multiply.outer(_phases(phi), np.arange(amplitudes.size))) * amplitudes
+
+
+def si_teleport(alpha, phi):
     """Relay of the coefficient list across the frame mismatch.
 
     Sending the numbers alpha_n and re-preparing gives Bob the state with
     those coefficients in his own basis; described in Alice's basis that is
     the phase-shifted ket.  The numbers survive; the physical state differs.
+    A 1-d array of phases gives the (phases, d) array of relayed amplitudes,
+    one row per phase, behind one normalization gate.
     """
     psi = Ket(np.asarray(alpha, dtype=complex)).require_unit(what="coefficient list")
-    g = Generator.ladder(psi.dim)
-    return Ket(phase_shift(g, phi) @ psi.amplitudes)
+    relayed = _rotated(psi.amplitudes, phi)
+    return Ket(relayed) if relayed.ndim == 1 else relayed
 
 
-def fidelity_after_relay(alpha, phi: float) -> float:
+def fidelity_after_relay(alpha, phi):
     """Overlap of the relayed coefficients with their intended target.
 
     The target of sending numbers is the state carrying those coefficients in
     the receiver's basis; the relay hits it exactly for every mismatch, which
-    is the contrast to :func:`teleport_with_mismatch`.
+    is the contrast to :func:`teleport_with_mismatch`.  A 1-d array of phases
+    gives one fidelity per phase.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    g = Generator.ladder(alpha.size)
-    target = phase_shift(g, phi) @ alpha
-    relayed = si_teleport(alpha, phi).amplitudes
-    return float(abs(np.vdot(target, relayed)) ** 2)
+    relayed = si_teleport(alpha, phi)
+    relayed = relayed.amplitudes if isinstance(relayed, Ket) else relayed
+    overlap = np.sum(_rotated(alpha, phi).conj() * relayed, axis=-1)
+    fidelities = np.abs(overlap) ** 2
+    return fidelities if fidelities.ndim else float(fidelities)
 
 
-def teleport_with_mismatch(input_state: Ket, phi: float,
-                           resource_dim: int = 2) -> DensityMatrix:
+def teleport_with_mismatch(input_state: Ket, phi, resource_dim: int = 2):
     """Teleportation with Bob's corrections expressed in his own frame.
 
     Standard protocol over a maximally entangled resource (a qubit pair by
-    default), except each correction C becomes U_phi C U_phi^dagger because
-    Bob's reference differs from Alice's by the phase offset.  Returns the
-    outcome-averaged output state; exact, no sampling.
+    default), except each correction C = X^a Z^b becomes U_phi C U_phi^dagger
+    because Bob's reference differs from Alice's by the phase offset
+    (U_phi = exp(-i phi G), G = diag(0..d-1)).  Returns the outcome-averaged
+    output state; exact, no sampling.
 
-    Bell rows are vec(C)/sqrt(d), since (C x I)|Phi+> = vec(C)/sqrt(d), and
-    U_phi C U_phi^dagger = C * (s s^dagger) entrywise for U_phi = diag(s);
-    the average is one sum of |o_k><o_k| over unnormalized outcomes o_k.
+    Outcome (a, b) leaves Bob with U_phi (C U_phi^dagger C^dagger) psi, and
+    C U_phi^dagger C^dagger = diag(exp(i phi ((i - a) mod d))): the Z^b part
+    cancels, and up to a global phase the map multiplies the levels below a
+    by exp(i phi d).  Averaging over a gives the mismatch kernel
+
+        rho = |psi><psi| o K,   K_ij = 1 - (|i - j| / d)(1 - exp(i phi d sgn(j - i))),
+
+    that is K = 1 - |l| (1 - cos phi d) + i l sin phi d with l = (j - i) / d.
+    A 1-d array of phases gives the (phases, d, d) stack of outputs, each
+    checked as a DensityMatrix is, in one stacked check.
     """
     psi = input_state.require_unit(what="input state")
     d = psi.dim
     if d != resource_dim:
         raise ContractViolation(
             f"input dimension {d} does not match the entangled resource dimension {resource_dim}")
-    corrections = _corrections(d)
-    bell = corrections.reshape(d * d, d * d) / math.sqrt(d)
-    # input x |Phi+>, rows (input, Alice's half), columns Bob's half
-    joint = (psi.amplitudes[:, None, None] * np.eye(d)).reshape(d * d, d) / math.sqrt(d)
-    cond = bell.conj() @ joint                          # outcome x Bob
-    s = np.diag(phase_shift(Generator.ladder(d), phi))  # U_phi = diag(s)
-    outs = np.einsum("kij,kj->ki", corrections * np.outer(s, s.conj()), cond)
-    return DensityMatrix(outs.T @ outs.conj())
+    a = psi.amplitudes
+    lag = (np.arange(d) - np.arange(d)[:, None]) / d           # (j - i) / d
+    theta = d * _phases(phi)[..., None, None]
+    kernel = 1.0 - np.abs(lag) * (1.0 - np.cos(theta)) + 1j * lag * np.sin(theta)
+    rho = np.outer(a, a.conj()) * kernel
+    return DensityMatrix(rho) if rho.ndim == 2 else _checked_densities(rho)
 
 
 @dataclass(frozen=True)
@@ -382,22 +392,19 @@ class GroupTable:
             raise ContractViolation("table must be square and nonempty")
         if any(not 0 <= x < d for row in t for x in row):
             raise ContractViolation("table entries must be element indices")
-        identity = None
-        for e in range(d):
-            if all(t[e][x] == x and t[x][e] == x for x in range(d)):
-                identity = e
-                break
-        if identity is None:
+        m = np.array(t)
+        elements = np.arange(d)
+        two_sided = (m == elements).all(axis=1) & (m == elements[:, None]).all(axis=0)
+        if not two_sided.any():
             raise ContractViolation("table has no identity element")
-        for a in range(d):
-            if identity not in t[a]:
-                raise ContractViolation(f"element {a} has no inverse")
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    if t[t[a][b]][c] != t[a][t[b][c]]:
-                        raise ContractViolation(
-                            f"associativity fails at ({a}, {b}, {c})")
+        identity = int(np.argmax(two_sided))
+        lacking = ~(m == identity).any(axis=1)
+        if lacking.any():
+            raise ContractViolation(f"element {np.argmax(lacking)} has no inverse")
+        broken = m[m] != m[:, m]                      # (ab)c != a(bc) at [a, b, c]
+        if broken.any():
+            a, b, c = np.unravel_index(np.argmax(broken), broken.shape)
+            raise ContractViolation(f"associativity fails at ({a}, {b}, {c})")
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "_identity", identity)
 

@@ -86,27 +86,39 @@ class BipartiteFrameState:
             raise ContractViolation("sector amplitudes must have unit sum of squares")
 
         sectors = tuple(self.sectors)
-        by_level = {}
-        for s in sectors:
-            if not isinstance(s, SchmidtSector):
-                raise ContractViolation("sectors must be SchmidtSector values")
-            if s.level in by_level:
-                raise ContractViolation(f"duplicate sector level {s.level}")
-            by_level[s.level] = s
-        for n, s in by_level.items():
-            if not 0 <= n <= n_tot:
-                raise ContractViolation(f"sector level {n} outside 0..{n_tot}")
-            da = self.gen_a.degeneracy(n_tot - n)
-            db = self.gen_b.degeneracy(n)
-            if da == 0 or db == 0:
+        levels = [s.level if isinstance(s, SchmidtSector) else None for s in sectors]
+        by_level = dict(zip(levels, sectors))
+        if len(by_level) < len(sectors) or None in by_level:
+            _raise_first_sector_fault(levels)
+
+        # per sector, in input order: level, rank, degeneracies on both sides
+        try:
+            n = np.array(levels, dtype=np.int64)
+        except OverflowError:   # beyond int64 is outside 0..n_tot all the same
+            n = np.clip(np.array(levels, dtype=object), -1, n_tot + 1).astype(np.int64)
+        rank = np.array([s.rank for s in sectors], dtype=np.int64)
+        outside = (n < 0) | (n > n_tot)
+        da = self.gen_a.degeneracies(n_tot - n)
+        db = self.gen_b.degeneracies(n)
+        unpaired = (da == 0) | (db == 0)
+        too_wide = rank > np.minimum(da, db)
+        bad = np.flatnonzero(outside | unpaired | too_wide)
+        if bad.size:
+            i = bad[0]
+            level, cap = levels[i], int(min(da[i], db[i]))
+            if outside[i]:
+                raise ContractViolation(f"sector level {level} outside 0..{n_tot}")
+            if unpaired[i]:
                 raise ContractViolation(
-                    f"sector {n} needs level {n_tot - n} on side A and level {n} on side B")
-            if s.rank > min(da, db):
-                raise ContractViolation(
-                    f"sector {n}: rank {s.rank} exceeds min degeneracy {min(da, db)}")
-        for n in range(n_tot + 1):
-            if abs(amps[n]) > SECTOR_ATOL and n not in by_level:
-                raise ContractViolation(f"nonzero amplitude at sector {n} without Schmidt data")
+                    f"sector {level} needs level {n_tot - level} on side A and level {level} on side B")
+            raise ContractViolation(
+                f"sector {level}: rank {int(rank[i])} exceeds min degeneracy {cap}")
+        covered = np.zeros(n_tot + 1, dtype=bool)
+        covered[n] = True
+        missing = np.flatnonzero((np.abs(amps) > SECTOR_ATOL) & ~covered)
+        if missing.size:
+            raise ContractViolation(
+                f"nonzero amplitude at sector {missing[0]} without Schmidt data")
 
         object.__setattr__(self, "total", n_tot)
         object.__setattr__(self, "amps", _frozen_array(amps, complex))
@@ -119,6 +131,18 @@ class BipartiteFrameState:
     def magnitudes(self) -> np.ndarray:
         """|e_n| for n = 0..total; all a joint measurement can use."""
         return np.abs(self.amps)
+
+
+def _raise_first_sector_fault(levels: list) -> None:
+    """Raise the error an in-order scan of the sector levels meets first: a
+    value that is not a SchmidtSector (level None) or a repeated level."""
+    seen = set()
+    for level in levels:
+        if level is None:
+            raise ContractViolation("sectors must be SchmidtSector values")
+        if level in seen:
+            raise ContractViolation(f"duplicate sector level {level}")
+        seen.add(level)
 
 
 @functools.lru_cache(maxsize=1024)

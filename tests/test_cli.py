@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import framesync.cli as cli
-from framesync import WitnessReport
+from framesync import RandomSource, WitnessReport
 from framesync.cli import ReportTable, main, render_csv, render_json
-from framesync.config import (RunConfig, UsageError, cost_from_spec,
+from framesync.config import (ALIGN_WORK_CAP, RunConfig, UsageError, cost_from_spec,
                               frame_state_from_spec, ket_from_spec,
                               merge_file_config, parse_n_range,
                               resource_from_spec)
@@ -419,6 +419,75 @@ def test_config_value_shapes_exit_cleanly(command, config):
     assert elapsed < 20.0, (config, elapsed)
 
 
+# Wrong-typed inner fields of spec files: a cost spec, a family state spec, an
+# explicit state spec (one sector) and a ket spec.  Integers stay small enough
+# for a quick run once accepted: N and qmax are capped, a ket by its size.
+_FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), _STRINGS, st.integers(-3, 600), st.integers(),
+    st.floats(), st.lists(st.one_of(st.integers(-2, 3), st.floats(), _STRINGS), max_size=3),
+    st.dictionaries(_STRINGS, st.integers(), max_size=2))
+_LADDER2 = [[0, 1], [1, 1]]
+
+
+def _field_spec(kind, value):
+    if kind == "qmax":
+        return ["cost", "--cost"], {"type": "likelihood", "qmax": value}
+    if kind == "cq":
+        return ["cost", "--cost"], {"type": "fourier", "cq": value}
+    if kind in ("N", "level"):
+        return ["cost", "--state"], {"family": "single-sector", "N": 3, kind: value}
+    if kind == "amplitudes":
+        return ["teleport-demo", "--grid", "4", "--state"], {"amplitudes": value}
+    sector = {"n": 0, "e": 1.0, kind: value}
+    if kind in ("n", "e"):
+        sector = {"n": 0, "e": 1.0, "lambdas": [1.0], kind: value}
+    return ["cost", "--state"], {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                                 "sectors": value if kind == "sectors" else [sector]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["qmax", "cq", "N", "level", "n", "e", "lambdas", "sectors",
+                             "amplitudes"]),
+       value=_FIELD_VALUES)
+@example(kind="qmax", value="x")
+@example(kind="N", value="x")
+@example(kind="lambdas", value=["a"])
+@example(kind="qmax", value=10**12)
+@example(kind="e", value=[1, 10**400])
+def test_spec_field_shapes_exit_cleanly(kind, value):
+    argv, spec = _field_spec(kind, value)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("spec.json", "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "spec.json"])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (spec, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("frame-sync: ")
+        assert len(err.getvalue().strip().splitlines()) == 1
+    assert elapsed < 20.0, (spec, elapsed)
+
+
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--cost", {"type": "likelihood", "qmax": "x"}, "likelihood qmax must be an integer"),
+    ("--state", {"family": "flat", "N": "x"}, "state N must be an integer"),
+    ("--state", {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                 "sectors": [{"n": 0, "e": 1.0, "lambdas": ["a"]}]},
+     "sector 0 lambdas must be a list of numbers"),
+])
+def test_spec_inner_fields_exit_one(capsys, tmp_path, flag, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "cost", flag, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sync_sim_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "monte_carlo_cost",
                         lambda *a, **k: (99.0, 1e-6))
@@ -459,6 +528,61 @@ def test_teleport_demo_curve_and_average(capsys):
         assert float(row[2]) == pytest.approx(1.0, abs=1e-12)
     assert rows[-1][0] == "average"
     assert float(rows[-1][1]) == pytest.approx(0.75, abs=1e-6)
+
+
+def _population_fidelity(amps, phi):
+    """Per-phase teleport fidelity from level populations alone: outcome a
+    multiplies the levels below a by exp(i phi d), so F = mean over a of
+    P_<a^2 + P_>=a^2 + 2 P_<a P_>=a cos(phi d)."""
+    weights = np.abs(amps) ** 2
+    d = weights.size
+    below = np.concatenate([[0.0], np.cumsum(weights)[:-1]])
+    above = 1.0 - below
+    return float(np.mean(below ** 2 + above ** 2 + 2 * below * above * math.cos(phi * d)))
+
+
+@pytest.mark.parametrize("d, grid", [(2, 9), (3, 40), (5, 37), (8, 64)])
+def test_teleport_demo_rows_match_per_phase_references(capsys, tmp_path, d, grid):
+    gen = np.random.default_rng(d)
+    amps = gen.normal(size=d) + 1j * gen.normal(size=d)
+    amps /= np.linalg.norm(amps)
+    path = tmp_path / "ket.json"
+    path.write_text(json.dumps({"amplitudes": [[a.real, a.imag] for a in amps]}))
+    code, out, _ = run(capsys, "teleport-demo", "--state", str(path), "--grid", str(grid))
+    assert code == 0
+    _, rows = data_rows(out)
+    assert len(rows) == grid + 1
+    for j, (phi, ui, si) in enumerate(rows[:-1]):
+        assert float(phi) == TWO_PI * j / grid
+        assert abs(float(ui) - _population_fidelity(amps, TWO_PI * j / grid)) <= 1e-12
+        assert abs(float(si) - 1.0) <= 1e-12
+    assert rows[-1][0] == "average"
+    assert float(rows[-1][1]) == sum(float(r[1]) for r in rows[:-1]) / grid
+
+
+@pytest.mark.parametrize("entries", [1, 4 * 25, 7 * 25])
+def test_teleport_demo_rows_do_not_depend_on_the_chunk(capsys, monkeypatch, tmp_path, entries):
+    amps = np.arange(1.0, 6.0) + 0.5j
+    path = tmp_path / "ket.json"
+    path.write_text(json.dumps({"amplitudes": [[a.real, a.imag] for a in amps / np.linalg.norm(amps)]}))
+    argv = ("teleport-demo", "--state", str(path), "--grid", "9")
+    _, whole, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "TELEPORT_CHUNK", entries)   # 1, 4 or 7 phases per call
+    _, chunked, _ = run(capsys, *argv)
+    assert chunked == whole and len(data_rows(chunked)[1]) == 10
+
+
+def test_teleport_demo_at_the_caps_is_bounded(capsys, tmp_path):
+    amps = np.full(64, 1 / 8.0)
+    path = tmp_path / "ket.json"
+    path.write_text(json.dumps({"amplitudes": amps.tolist()}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "teleport-demo", "--state", str(path), "--grid", "4096")
+    assert code == 0 and time.perf_counter() - start < 15.0
+    _, rows = data_rows(out)
+    assert len(rows) == 4097
+    for j in (1, 1000, 4095):
+        assert abs(float(rows[j][1]) - _population_fidelity(amps, TWO_PI * j / 4096)) <= 1e-12
 
 
 def test_teleport_demo_degrees(capsys):
@@ -533,6 +657,52 @@ def test_align_exact_rows(capsys):
     assert [r[0] for r in rows] == ["0", "1", "2", "total"]
     assert all(r[2] == "0" for r in rows)
     assert rows[-1][1] == "120"
+
+
+def test_align_draws_one_stream_per_mismatch(capsys, monkeypatch):
+    seen = {}
+
+    def record(group, g, rng):
+        if g not in seen:
+            seen[g] = (rng, rng.bit_generator.state)
+        assert rng is seen[g][0]
+        return g
+    monkeypatch.setattr(cli, "finite_group_align", record)
+    code, out, _ = run(capsys, "align", "--d", "4", "--trials", "5", "--seed", "9")
+    assert code == 0 and sorted(seen) == [0, 1, 2, 3]
+    assert len({id(rng) for rng, _ in seen.values()}) == 4
+    for g, (_, state) in seen.items():
+        assert state == RandomSource(9).split(g).generator().bit_generator.state
+
+
+def test_align_rows_are_unchanged(capsys):
+    code, out, _ = run(capsys, "align", "--d", "5", "--trials", "40", "--seed", "5")
+    assert code == 0
+    _, rows = data_rows(out)
+    assert rows == [[str(g), "40", "0"] for g in range(5)] + [["total", "200", "0"]]
+
+
+def test_align_default_trials_are_admitted_up_to_the_order_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, rng: g)
+    code, out, _ = run(capsys, "align", "--d", "64")
+    assert code == 0
+    assert data_rows(out)[1][-1] == ["total", "64000", "0"]
+
+
+@pytest.mark.parametrize("trials", [ALIGN_WORK_CAP // 64 + 1, 1000000000])
+def test_align_work_beyond_the_cap_exits_before_any_attempt(capsys, monkeypatch, trials):
+    attempts = []
+    monkeypatch.setattr(cli, "finite_group_align", lambda *a: attempts.append(1))
+    code, out, err = run(capsys, "align", "--d", "64", "--trials", str(trials))
+    assert code == 1 and out == "" and attempts == []
+    assert err.startswith("frame-sync: error:") and "capped" in err
+
+
+def test_align_work_at_the_cap_is_admitted(capsys, monkeypatch):
+    assert ALIGN_WORK_CAP % 64 == 0
+    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, rng: g)
+    code, out, _ = run(capsys, "align", "--d", "64", "--trials", str(ALIGN_WORK_CAP // 64))
+    assert code == 0 and data_rows(out)[1][-1] == ["total", str(ALIGN_WORK_CAP), "0"]
 
 
 def test_output_file(capsys, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from framesync import (ContractViolation, DensityMatrix, Generator, Ket,
                        RandomSource, as_generator, basis_ket, fidelity, ket,
                        measure, phase_shift, spectral_projector, tensor)
-from framesync.core import MeasurementBasis
+from framesync.core import MeasurementBasis, _checked_densities
 
 RT2 = np.sqrt(2.0)
 
@@ -64,6 +64,44 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))                     # trace 1.4
     with pytest.raises(ContractViolation):
         DensityMatrix(np.diag([1.5, -0.5]))                    # not positive
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "hermitian"),
+    (np.diag([0.7, 0.7]), "trace must be 1, got np.float64(1.4)"),
+    (np.diag([1.5, -0.5]), "positive semidefinite"),
+])
+def test_stacked_density_checks_find_one_bad_matrix(bad, message):
+    good = np.diag([0.5, 0.5])
+    with pytest.raises(ContractViolation) as single:
+        DensityMatrix(bad)
+    assert message in str(single.value)
+    for at in range(3):
+        stack = np.array([good, good, good], dtype=complex)
+        stack[at] = bad
+        with pytest.raises(ContractViolation) as stacked:
+            _checked_densities(stack)
+        assert str(stacked.value) == str(single.value)
+    checked = _checked_densities(np.array([good, good]))
+    assert checked.shape == (2, 2, 2) and not checked.flags.writeable
+
+
+def test_generator_degeneracies_match_the_scalar_lookup():
+    g = Generator(((-2, 1), (0, 3), (1, 2), (5, 1)))
+    levels = np.arange(-4, 8)
+    np.testing.assert_array_equal(g.degeneracies(levels),
+                                  [g.degeneracy(int(n)) for n in levels])
+    with pytest.raises(ContractViolation, match="64-bit"):
+        Generator(((0, 1), (2**70, 1)))
+
+
+def test_fidelity_of_a_stack_is_one_value_per_matrix():
+    plus = ket([1.0, 1.0]).normalized()
+    stack = np.array([np.diag([1.0, 0.0]), plus.outer(), np.eye(2) / 2])
+    np.testing.assert_allclose(fidelity(stack, plus),
+                               [fidelity(m, plus) for m in stack], atol=1e-15)
+    with pytest.raises(ContractViolation):
+        fidelity(np.zeros((4, 3, 3)), plus)
 
 
 def test_pure_density_normalizes():

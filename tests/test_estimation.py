@@ -45,6 +45,40 @@ def test_cost_rejects_positive_fourier_terms():
     CostFunction(1.0, (-1.0, 0.0))   # zeros are allowed
 
 
+def _cost_error(c0, cq):
+    """Loop reference of CostFunction's checks: the first failing message, or None."""
+    cq = tuple(float(c) for c in cq)
+    if any(not np.isfinite(c) for c in (c0,) + cq):
+        return "cost coefficients must be finite"
+    bad = [q + 1 for q, c in enumerate(cq) if c > 0.0]
+    return f"cost is not admissible: c_q > 0 at q = {bad}" if bad else None
+
+
+_COEFFICIENTS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -1.0, 1e-300, -np.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c0=_COEFFICIENTS, cq=st.lists(_COEFFICIENTS, max_size=6))
+def test_cost_checks_match_the_loop_reference(c0, cq):
+    want = _cost_error(c0, cq)
+    if want is None:
+        cost = CostFunction(c0, tuple(cq))
+        assert cost.cq == tuple(float(c) for c in cq)
+        assert all(type(c) is float for c in cost.cq) and type(cost.c0) is float
+    else:
+        with pytest.raises(ContractViolation) as err:
+            CostFunction(c0, tuple(cq))
+        assert str(err.value) == want
+
+
+def test_cost_validation_calls_isfinite_once_per_array(monkeypatch):
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: calls.append(1) or isfinite(x))
+    likelihood_cost(512)
+    assert len(calls) <= 2
+
+
 def test_cost_value_scalar_and_vector():
     c = variance_cost()
     assert isinstance(c.value(0.3), float)

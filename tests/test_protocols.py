@@ -16,8 +16,7 @@ from framesync import (ClockParams, ContractViolation, DensityMatrix,
                        teleport_with_mismatch, tensor, variance_cost)
 import framesync.protocols as protocols
 from framesync.cli import main
-from framesync.protocols import (_corrections, _fourier_family,
-                                 _rank_one_commutator_norm)
+from framesync.protocols import _fourier_family, _rank_one_commutator_norm
 from conftest import level_preserving_unitary, random_frame_state
 
 TWO_PI = 2 * math.pi
@@ -276,19 +275,6 @@ def _shift_clock(d):
     return x, z
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
-def test_corrections_are_shift_clock_powers_and_give_a_bell_basis(d):
-    x, z = _shift_clock(d)
-    stack = _corrections(d)
-    assert stack.shape == (d * d, d, d) and not stack.flags.writeable
-    for a in range(d):
-        for b in range(d):
-            want = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-            np.testing.assert_allclose(stack[a * d + b], want, atol=1e-13)
-    bell = stack.reshape(d * d, d * d) / math.sqrt(d)
-    np.testing.assert_allclose(bell.conj() @ bell.T, np.eye(d * d), atol=1e-13)
-
-
 def _teleport_by_outcome(psi, phi):
     """One Bell outcome at a time: project, normalize, correct in Bob's frame."""
     d = psi.size
@@ -318,6 +304,46 @@ def test_teleport_matches_the_per_outcome_protocol(d):
         rho = teleport_with_mismatch(psi, phi, resource_dim=d)
         np.testing.assert_allclose(rho.entries, _teleport_by_outcome(psi.amplitudes, phi),
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_teleport_kernel_over_a_phase_grid_matches_the_per_outcome_protocol(d):
+    gen = np.random.default_rng(70 + d)
+    phis = np.concatenate([np.linspace(0.0, TWO_PI, 25), gen.uniform(-10.0, 10.0, 8)])
+    for _ in range(3):
+        psi = ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
+        stack = teleport_with_mismatch(psi, phis, resource_dim=d)
+        assert stack.shape == (phis.size, d, d) and not stack.flags.writeable
+        for phi, rho in zip(phis, stack):
+            np.testing.assert_allclose(rho, _teleport_by_outcome(psi.amplitudes, phi),
+                                       atol=1e-12)
+
+
+def test_teleport_grid_runs_the_density_checks_on_every_phase(monkeypatch):
+    plus = ket([1.0, 1.0]).normalized()
+    with pytest.raises(ContractViolation, match="phase must be finite"):
+        teleport_with_mismatch(plus, np.array([0.0, np.nan]))
+    with pytest.raises(ContractViolation, match="1-d"):
+        teleport_with_mismatch(plus, np.zeros((2, 2)))
+    checked = []
+    real = protocols._checked_densities
+    monkeypatch.setattr(protocols, "_checked_densities",
+                        lambda m: checked.append(m.shape) or real(m))
+    teleport_with_mismatch(plus, np.linspace(0.0, 1.0, 7))
+    assert checked == [(7, 2, 2)]
+
+
+def test_relay_over_a_phase_grid_gates_the_coefficients_once():
+    alpha = np.array([0.6, 0.8j])
+    phis = np.linspace(0.0, TWO_PI, 9)
+    rows = si_teleport(alpha, phis)
+    assert rows.shape == (9, 2)
+    for phi, row in zip(phis, rows):
+        np.testing.assert_allclose(row, si_teleport(alpha, phi).amplitudes, atol=1e-15)
+    fids = fidelity_after_relay(alpha, phis)
+    np.testing.assert_allclose(fids, [fidelity_after_relay(alpha, p) for p in phis], atol=1e-15)
+    with pytest.raises(ContractViolation, match="normalized"):
+        fidelity_after_relay([1.0, 1.0], phis)
 
 
 # ---------------------------------------------------------------- witness
@@ -419,6 +445,77 @@ def test_group_table_rejects_broken_axioms():
         GroupTable(((1, 0), (0, 0)))                           # no identity
     with pytest.raises(ContractViolation):
         GroupTable(((0, 1, 2), (1, 0, 0), (2, 0, 1)))          # not associative
+
+
+def _group_axiom_error(table):
+    """Loop reference of GroupTable's checks: the first failing message, or None."""
+    t = tuple(tuple(int(x) for x in row) for row in table)
+    d = len(t)
+    if d == 0 or any(len(row) != d for row in t):
+        return "table must be square and nonempty"
+    if any(not 0 <= x < d for row in t for x in row):
+        return "table entries must be element indices"
+    identity = next((e for e in range(d)
+                     if all(t[e][x] == x and t[x][e] == x for x in range(d))), None)
+    if identity is None:
+        return "table has no identity element"
+    for a in range(d):
+        if identity not in t[a]:
+            return f"element {a} has no inverse"
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return f"associativity fails at ({a}, {b}, {c})"
+    return None
+
+
+_KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+_S3 = ((0, 1, 2, 3, 4, 5), (1, 0, 4, 5, 2, 3), (2, 5, 0, 4, 3, 1),   # permutations
+       (3, 4, 5, 0, 1, 2), (4, 3, 1, 2, 5, 0), (5, 2, 3, 1, 0, 4))    # of 3 points
+
+
+@st.composite
+def _near_group_tables(draw):
+    """A relabelled group table (cyclic, Klein, S3) with up to three entries
+    overwritten, sometimes including out-of-range values or a short row."""
+    base = draw(st.sampled_from(
+        [tuple(tuple((a + b) % n for b in range(n)) for a in range(n)) for n in range(1, 6)]
+        + [_KLEIN, _S3]))
+    d = len(base)
+    perm = draw(st.permutations(range(d)))
+    t = [[0] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
+            t[perm[a]][perm[b]] = perm[base[a][b]]
+    for _ in range(draw(st.integers(0, 3))):
+        t[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(st.integers(-1, d))
+    if draw(st.integers(0, 9)) == 0:
+        t[draw(st.integers(0, d - 1))].pop()
+    return tuple(tuple(row) for row in t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_near_group_tables())
+def test_group_table_checks_match_the_loop_reference(table):
+    want = _group_axiom_error(table)
+    if want is None:
+        group = GroupTable(table)
+        assert group.table == table
+        assert all(group.mul(a, group.inverse(a)) == group.identity for a in range(group.order))
+    else:
+        with pytest.raises(ContractViolation) as err:
+            GroupTable(table)
+        assert str(err.value) == want
+
+
+def test_group_table_reports_the_first_failing_triple():
+    # S3 with one product changed: many triples fail, the first in (a, b, c) order is named
+    t = [list(row) for row in _S3]
+    t[2][3] = 5
+    with pytest.raises(ContractViolation) as err:
+        GroupTable(tuple(tuple(row) for row in t))
+    assert str(err.value) == "associativity fails at (1, 2, 3)" == _group_axiom_error(t)
 
 
 @pytest.mark.parametrize("order", [2, 3, 5, 8])

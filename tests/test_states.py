@@ -166,6 +166,94 @@ def test_frame_state_validation():
         BipartiteFrameState(2, neg, g, amps, ok)
 
 
+def _sector_error(n_tot, gen_a, gen_b, amps, sectors):
+    """Loop reference of BipartiteFrameState's sector checks: the first
+    failing message, or None."""
+    by_level = {}
+    for s in sectors:
+        if not isinstance(s, SchmidtSector):
+            return "sectors must be SchmidtSector values"
+        if s.level in by_level:
+            return f"duplicate sector level {s.level}"
+        by_level[s.level] = s
+    for n, s in by_level.items():
+        if not 0 <= n <= n_tot:
+            return f"sector level {n} outside 0..{n_tot}"
+        da = gen_a.degeneracy(n_tot - n)
+        db = gen_b.degeneracy(n)
+        if da == 0 or db == 0:
+            return f"sector {n} needs level {n_tot - n} on side A and level {n} on side B"
+        if s.rank > min(da, db):
+            return f"sector {n}: rank {s.rank} exceeds min degeneracy {min(da, db)}"
+    for n in range(n_tot + 1):
+        if abs(amps[n]) > 1e-12 and n not in by_level:
+            return f"nonzero amplitude at sector {n} without Schmidt data"
+    return None
+
+
+def _generators(max_level):
+    """Mostly every level 0..max_level present, sometimes a random subset;
+    degeneracies 1..3."""
+    full = st.lists(st.integers(1, 3), min_size=max_level + 1, max_size=max_level + 1).map(
+        lambda degs: tuple(enumerate(degs)))
+    some = st.lists(st.tuples(st.integers(0, max_level), st.integers(1, 3)),
+                    min_size=1, max_size=max_level + 1, unique_by=lambda p: p[0])
+    return st.one_of(full, full, some).map(lambda lv: Generator(tuple(sorted(lv))))
+
+
+@st.composite
+def _sector_lists(draw, n_tot):
+    """Sectors for every level 0..n_tot or for random levels, in random
+    order, ranks 1..2, sometimes with a repeated level or a non-sector."""
+    levels = draw(st.one_of(st.just(list(range(n_tot + 1))),
+                            st.lists(st.integers(-1, 6), max_size=7, unique=True)))
+    items = [SchmidtSector(n, (1 / np.sqrt(r),) * r)
+             for n, r in zip(draw(st.permutations(levels)),
+                             draw(st.lists(st.integers(1, 2), min_size=len(levels),
+                                           max_size=len(levels))))]
+    if items and draw(st.integers(0, 4)) == 0:
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(items)))
+    if draw(st.integers(0, 4)) == 0:
+        items.insert(draw(st.integers(0, len(items))), "not a sector")
+    return items
+
+
+@st.composite
+def _frame_state_inputs(draw):
+    n_tot = draw(st.integers(0, 5))
+    support = draw(st.lists(st.booleans(), min_size=n_tot + 1, max_size=n_tot + 1))
+    amps = np.array(support, dtype=float)
+    amps = amps / np.linalg.norm(amps) if amps.any() else np.eye(n_tot + 1)[0]
+    return (n_tot, draw(_generators(5)), draw(_generators(5)), amps,
+            draw(_sector_lists(n_tot)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_frame_state_inputs())
+def test_frame_state_sector_checks_match_the_loop_reference(inputs):
+    n_tot, gen_a, gen_b, amps, sectors = inputs
+    want = _sector_error(n_tot, gen_a, gen_b, amps, sectors)
+    if want is None:
+        state = BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
+        assert all(state.sector(s.level) is s for s in sectors)
+    else:
+        with pytest.raises(ContractViolation) as err:
+            BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
+        assert str(err.value) == want
+
+
+def test_state_validation_makes_no_per_level_lookups(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("per-level degeneracy lookup")
+    monkeypatch.setattr(Generator, "degeneracy", refuse)
+    assert flat_state(300).total == 300
+    assert optimal_frameness_state(200, likelihood_cost(200)).total == 200
+    g = Generator(((0, 2), (1, 2), (2, 2)))
+    BipartiteFrameState(2, g, g, np.full(3, 1 / np.sqrt(3)),
+                        (SchmidtSector(0, (1.0,)), SchmidtSector(1, (0.6, 0.8)),
+                         SchmidtSector(2, (1.0,))))
+
+
 def test_frame_state_amps_keep_phases():
     amps = np.array([1.0, 1.0j]) / np.sqrt(2)
     s = BipartiteFrameState(1, Generator.ladder(2), Generator.ladder(2), amps,
