@@ -4,8 +4,9 @@ Everything here is desk-scale (dimensions up to a few hundred), so states are
 plain complex vectors, operators are dense ``numpy`` arrays, and no sparsity
 or factorized structure is attempted.  The one domain-specific type is
 :class:`Generator`, an integer-spectrum observable whose eigenvalues generate
-phase rotations; its basis labels carry (level, degeneracy index) pairs so
-that level bookkeeping never relies on implicit array positions.
+phase rotations; it is given as (eigenvalue, degeneracy) pairs and looks up
+each level's basis slots, so that level bookkeeping never relies on implicit
+array positions.
 """
 from __future__ import annotations
 
@@ -14,9 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-
-# Dense operators are bare arrays; only states and generators get wrappers.
-Operator = np.ndarray
 
 ATOL = 1e-12          # structural tolerance: norms, unitarity, idempotence
 MEASURE_ATOL = 1e-10  # orthonormality / completeness gate for measurements
@@ -114,13 +112,14 @@ def _checked_densities(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolation(f"density matrix must be square, got shape {m.shape}")
-    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > ATOL:
+    # written as ``not ... <=`` so that a NaN fails each gate
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:
         raise ContractViolation("density matrix must be hermitian within 1e-12")
     trace = np.trace(m, axis1=-2, axis2=-1).real
     worst = trace.flat[np.argmax(np.abs(trace - 1.0))]
-    if abs(worst - 1.0) > ATOL:
+    if not abs(worst - 1.0) <= ATOL:
         raise ContractViolation(f"density matrix trace must be 1, got {worst!r}")
-    if np.linalg.eigvalsh(m).min() < -ATOL:
+    if not np.linalg.eigvalsh(m).min() >= -ATOL:
         raise ContractViolation("density matrix must be positive semidefinite")
     return _frozen_array(m, complex)
 
@@ -130,8 +129,8 @@ class Generator:
     """Integer-spectrum observable given as (eigenvalue, degeneracy) levels.
 
     Levels are sorted strictly increasing.  The induced basis ordering is by
-    level, then by 1-based degeneracy index, so basis slot ``i`` carries the
-    label ``labels()[i] == (n, l)``.
+    level, then by 1-based degeneracy index, so level ``n`` occupies the
+    basis slots ``level_slice(n)``.
     """
 
     levels: tuple
@@ -184,10 +183,6 @@ class Generator:
         """Per-basis-slot eigenvalue, degeneracies expanded."""
         return np.repeat([n for n, _ in self.levels], [d for _, d in self.levels])
 
-    def labels(self) -> tuple:
-        """(level, degeneracy index) per basis slot; degeneracy index is 1-based."""
-        return tuple((n, l) for n, d in self.levels for l in range(1, d + 1))
-
     def has_level(self, n: int) -> bool:
         return n in self._slices
 
@@ -206,15 +201,6 @@ class Generator:
         if s is None:
             raise ContractViolation(f"generator has no level {n}")
         return s
-
-    def index_of(self, n: int, l: int) -> int:
-        s = self.level_slice(n)
-        if not 1 <= l <= s.stop - s.start:
-            raise ContractViolation(f"degeneracy index {l} out of range for level {n}")
-        return s.start + (l - 1)
-
-    def matrix(self) -> Operator:
-        return np.diag(self.eigenvalues().astype(complex))
 
 
 @functools.lru_cache(maxsize=128)
@@ -263,13 +249,6 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     raise ContractViolation(f"expected RandomSource or numpy Generator, got {type(rng).__name__}")
 
 
-def phase_shift(g: Generator, phi: float) -> Operator:
-    """Diagonal unitary exp(-i * phi * G) in the generator's eigenbasis."""
-    if not np.isfinite(phi):
-        raise ContractViolation("phase must be finite")
-    return np.diag(np.exp(-1j * phi * g.eigenvalues()))
-
-
 def tensor(a, b):
     """Kronecker product; Ket x Ket gives a Ket, arrays give an array."""
     if isinstance(a, Ket) and isinstance(b, Ket):
@@ -277,12 +256,6 @@ def tensor(a, b):
     if isinstance(a, Ket) or isinstance(b, Ket):
         raise ContractViolation("tensor arguments must both be Kets or both be operators")
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def spectral_projector(g: Generator, eigenvalue: int) -> Operator:
-    """Projector onto the eigenspace of the given level (zero if absent)."""
-    diag = (g.eigenvalues() == eigenvalue).astype(complex)
-    return np.diag(diag)
 
 
 def _basis_matrix(basis: Sequence[Ket]) -> np.ndarray:

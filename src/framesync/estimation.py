@@ -16,7 +16,6 @@ formula can be checked against an implementation that cannot share its bugs.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,8 +26,7 @@ from .core import ContractViolation, RandomSource, RngLike, as_generator
 
 TWO_PI = 2.0 * math.pi
 
-NORM_ATOL = 1e-10      # input normalization gate
-DEFAULT_BINS = 1 << 16  # default quadrature grid of EstimateDensity.average_cost
+NORM_ATOL = 1e-10      # input normalization gate (a NaN fails it too)
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ def _magnitudes(e) -> np.ndarray:
     m = np.abs(np.asarray(e, dtype=complex))
     if m.ndim != 1 or m.size == 0:
         raise ContractViolation("amplitude vector must be nonempty and 1-d")
-    if abs(np.sum(m * m) - 1.0) > NORM_ATOL:
+    if not abs(np.sum(m * m) - 1.0) <= NORM_ATOL:
         raise ContractViolation(f"amplitudes must be normalized, got sum of squares {np.sum(m*m)!r}")
     return m
 
@@ -96,21 +94,6 @@ def min_joint_cost(e, cost: CostFunction) -> float:
     cq = np.asarray(cost.cq[:m.size - 1])
     lags = np.correlate(m, m, "full")[m.size:m.size + cq.size]  # sum_n m_n m_{n+q}, q >= 1
     return cost.c0 + float(cq @ lags)
-
-
-@dataclass(frozen=True)
-class CovariantSeed:
-    """Rank-one covariant seed phases theta_n, gauge-fixed to theta_0 = 0."""
-
-    phases: tuple
-
-    def __post_init__(self):
-        ph = tuple(float(t) for t in self.phases)
-        if not ph:
-            raise ContractViolation("seed needs at least one phase")
-        if abs(ph[0]) > 1e-12:
-            raise ContractViolation("seed gauge requires theta_0 = 0")
-        object.__setattr__(self, "phases", ph)
 
 
 @dataclass(frozen=True)
@@ -128,7 +111,7 @@ class EstimateDensity:
         if any(x < -1e-12 for x in m):
             raise ContractViolation("magnitudes must be nonnegative")
         m = tuple(max(x, 0.0) for x in m)
-        if abs(sum(x * x for x in m) - 1.0) > NORM_ATOL:
+        if not abs(sum(x * x for x in m) - 1.0) <= NORM_ATOL:
             raise ContractViolation("magnitudes must have unit sum of squares")
         object.__setattr__(self, "magnitudes", m)
 
@@ -148,16 +131,6 @@ class EstimateDensity:
         table = (np.array(self.magnitudes) / math.sqrt(size)
                  * np.exp(TWO_PI * 1j / size * (np.outer(levels, levels) % size)))
         return table, 1j * levels
-
-    def average_cost(self, cost: CostFunction, points: int = DEFAULT_BINS) -> float:
-        """Quadrature of c(delta) p(delta) on a uniform periodic grid.
-
-        Uniform trapezoid quadrature of a trigonometric polynomial is exact
-        once the grid beats the bandwidth, so the default is far more than
-        enough for any desk-scale state.
-        """
-        grid = np.arange(points) * (TWO_PI / points)
-        return float(np.mean(cost.value(grid) * self.pdf(grid)) * TWO_PI)
 
 
 def estimate_density(psi_magnitudes) -> EstimateDensity:
@@ -213,32 +186,21 @@ def _seed_weights(e, cost: CostFunction):
 
 
 def _grid_search(c0, h, grid_points):
-    """Exhaustive search of the phase grid.
+    """Exhaustive search of the phase grid, at most 2 free phases.
 
-    The last one or two free phases span one broadcast plane p; any earlier
-    phase is looped.  With u = (a, p) and H upper triangular,
-    u^dagger H u = a^dagger H_aa a + (a^dagger H_ap) p + p^dagger H_pp p, and
-    the last term is the same for every loop step.  Ties keep the first grid
-    point in lexicographic order.
+    Every grid point is one column u = (1, p) of a single broadcast, with the
+    free phases p on a meshgrid, valued c0 + Re(u^dagger H u).  Ties keep the
+    first grid point in lexicographic order.
     """
     n_levels = h.shape[0]
     if not h.any():  # no weights, or a single level
         return c0, np.zeros(n_levels)
     axis = TWO_PI * np.arange(grid_points) / grid_points
-    head = max(1, n_levels - 2)
-    plane = (grid_points,) * (n_levels - head)
-    p = np.exp(1j * np.array(np.meshgrid(*[axis] * len(plane), indexing="ij")))
-    p = p.reshape(len(plane), -1)
-    tail = c0 + (p.conj() * (h[head:, head:] @ p)).sum(axis=0).real
-    best_val, best = math.inf, None
-    for lead in itertools.product(range(grid_points), repeat=head - 1):
-        a = np.exp(1j * axis[[0, *lead]])
-        ac = a.conj()
-        vals = tail + (ac @ h[:head, :head] @ a).real + (ac @ h[:head, head:] @ p).real
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val, best = float(vals[k]), (0, *lead, *np.unravel_index(k, plane))
-    return best_val, axis[list(best)]
+    theta = np.array(np.meshgrid(*[axis] * (n_levels - 1), indexing="ij")).reshape(n_levels - 1, -1)
+    u = np.exp(1j * np.vstack((np.zeros(theta.shape[1]), theta)))
+    vals = c0 + (u.conj() * (h @ u)).sum(axis=0).real
+    k = int(np.argmin(vals))
+    return float(vals[k]), np.concatenate(([0.0], theta[:, k]))
 
 
 def _coordinate_descent(c0, h, restarts, rng):
@@ -278,14 +240,13 @@ def _coordinate_descent(c0, h, restarts, rng):
 
 def brute_force_min_cost(e, cost: CostFunction, grid_points: int = 360, *,
                          method: str = "auto", restarts: int = 8,
-                         rng: RngLike | None = None, return_seed: bool = False):
+                         rng: RngLike | None = None) -> float:
     """Search covariant rank-one seeds for the minimum average cost.
 
-    ``method`` is "grid" (exhaustive on ``grid_points`` per phase, at most 3
+    ``method`` is "grid" (exhaustive on ``grid_points`` per phase, at most 2
     free phases), "descent" (coordinate descent with exact line search from
     random restarts), or "auto" (grid up to 2 free phases, descent beyond).
-    Returns the best value found, or with ``return_seed=True`` a
-    (value, CovariantSeed) pair.
+    Returns the best value found.
     """
     free = _magnitudes(e).size - 1  # validates normalization
     c0, h = _seed_weights(e, cost)
@@ -295,15 +256,10 @@ def brute_force_min_cost(e, cost: CostFunction, grid_points: int = 360, *,
     if method == "auto":
         method = "grid" if free <= 2 else "descent"
     if method == "grid":
-        if free > 3:
-            raise ContractViolation("grid method supports at most 3 free phases")
-        val, theta = _grid_search(c0, h, grid_points)
-    elif method == "descent":
-        val, theta = _coordinate_descent(
-            c0, h, restarts, rng if rng is not None else RandomSource(0))
-    else:
-        raise ContractViolation(f"unknown method {method!r}")
-
-    if return_seed:
-        return val, CovariantSeed(tuple(theta.tolist()))
-    return val
+        if free > 2:
+            raise ContractViolation("grid method supports at most 2 free phases")
+        return _grid_search(c0, h, grid_points)[0]
+    if method == "descent":
+        return _coordinate_descent(
+            c0, h, restarts, rng if rng is not None else RandomSource(0))[0]
+    raise ContractViolation(f"unknown method {method!r}")

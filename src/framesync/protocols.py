@@ -8,9 +8,8 @@ classical communication already attains the joint optimum; that equality is
 the point of the whole construction and is what the Monte Carlo here checks.
 
 Also: two teleportation demos (coefficients survive classical relay, states
-do not), an algebraic witness for why no protocol can do better, exact
-alignment for finite cyclic groups, and the clock-offset reading of the
-phase.
+do not), an algebraic witness for why no protocol can do better, and exact
+alignment for finite groups.
 """
 from __future__ import annotations
 
@@ -54,51 +53,34 @@ class ConditionalOutcome:
     bob_state: Ket
 
 
-def _fourier_family(g: Generator, weighting: str):
-    """All (outcome label, vector) pairs of the Fourier measurement family.
+def _fourier_family(g: Generator):
+    """All (outcome label, vector) pairs of Alice's Fourier measurement.
 
-    The vectors combine one discrete-Fourier pick per degenerate level with a
-    Fourier transform across levels; the transform size is max level + 1 so
-    level differences never alias.  ``weighting="unit"`` gives the unit-norm
-    family (orthonormal exactly when every level is nondegenerate);
-    ``weighting="povm"`` rescales so the rank-one elements resolve the
-    identity, which is what an actual measurement needs once levels are
-    degenerate.
+    The vectors combine one discrete-Fourier pick j per degenerate level with
+    a Fourier transform across levels; the transform size is max level + 1 so
+    level differences never alias.  Slot (n, l) of outcome (k, picks) holds
+    exp(2 pi i (k n / size + j_n l / d_n)) / sqrt(size * patterns), so the
+    rank-one elements resolve the identity, as a measurement needs once
+    levels are degenerate.  Outcomes run over k, then over the picks in
+    ``itertools.product`` order.
     """
     if g.min_level < 0:
         raise ContractViolation("Fourier family needs nonnegative levels")
     size = g.max_level + 1
+    eigs = [n for n, _ in g.levels]
     degs = [d for _, d in g.levels]
-    n_levels = len(degs)
-    n_patterns = int(np.prod(degs))
-    outcomes = []
-    vectors = np.zeros((size * n_patterns, g.dim), dtype=complex)
+    patterns = list(itertools.product(*[range(1, d + 1) for d in degs]))
+    outcomes = [FourierOutcome(k, tuple(zip(eigs, pattern)))
+                for k in range(size) for pattern in patterns]
 
-    row = 0
-    for k in range(size):
-        for pattern in itertools.product(*[range(1, d + 1) for d in degs]):
-            v = np.zeros(g.dim, dtype=complex)
-            off = 0
-            for (n, d), j in zip(g.levels, pattern):
-                ls = np.arange(1, d + 1)
-                phase = np.exp(2j * np.pi * (k * n / size + j * ls / d))
-                if weighting == "unit":
-                    v[off:off + d] = phase / math.sqrt(n_levels * d)
-                elif weighting == "povm":
-                    v[off:off + d] = phase / math.sqrt(size * n_patterns)
-                else:
-                    raise ContractViolation(f"unknown weighting {weighting!r}")
-                off += d
-            outcomes.append(FourierOutcome(k, tuple((n, j) for (n, _), j in zip(g.levels, pattern))))
-            vectors[row] = v
-            row += 1
+    # per basis slot: level n, degeneracy d, 1-based label l, pick j per pattern
+    n, d = g.eigenvalues(), np.repeat(degs, degs)
+    ls = np.arange(g.dim) - np.repeat(np.cumsum(degs) - degs, degs) + 1
+    j = np.array(patterns)[:, np.repeat(np.arange(len(degs)), degs)]
+    k = np.arange(size)[:, None, None]
+    phase = np.exp(2j * np.pi * (k * n / size + j * ls / d))
+    vectors = phase.reshape(-1, g.dim) / math.sqrt(size * len(patterns))
     return outcomes, vectors
-
-
-def alice_fourier_basis(g: Generator) -> list:
-    """Unit-norm Fourier family on Alice's space, ordered by (k, picks)."""
-    _, vectors = _fourier_family(g, "unit")
-    return [Ket(v) for v in vectors]
 
 
 def alice_measure(state: BipartiteFrameState) -> tuple:
@@ -115,7 +97,7 @@ def alice_measure(state: BipartiteFrameState) -> tuple:
 @functools.lru_cache(maxsize=8)
 def _alice_outcomes(state: BipartiteFrameState) -> tuple:
     psi = expand(state).amplitudes.reshape(state.gen_a.dim, state.gen_b.dim)
-    outcomes, vectors = _fourier_family(state.gen_a, "povm")
+    outcomes, vectors = _fourier_family(state.gen_a)
     cond = vectors.conj() @ psi          # outcome x Bob dimension
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
     return tuple(ConditionalOutcome(label, float(p), Ket(row / math.sqrt(p)))
@@ -130,30 +112,32 @@ def sector_form_residual(state: BipartiteFrameState) -> float:
     and u the within-level Fourier phases.  Returns the worst global-phase-
     aligned distance over all outcomes; anything above ~1e-12 means the
     measurement and the sector bookkeeping disagree.
+
+    The prediction comes from the sector data and the outcome labels alone,
+    never from the measurement vectors, as one outcome x slot broadcast.
     """
     ga, gb = state.gen_a, state.gen_b
-    size = ga.max_level + 1
-    worst = 0.0
-    for item in alice_measure(state):
-        predicted = np.zeros(gb.dim, dtype=complex)
-        picks = item.outcome.j_map()
-        for n in range(state.total + 1):
-            sec = state.sector(n)
-            if sec is None or state.amps[n] == 0.0:
-                continue
-            a_level = state.total - n
-            d_a = ga.degeneracy(a_level)
-            sb = gb.level_slice(n)
-            ls = np.arange(1, sec.rank + 1)
-            phases = np.exp(-2j * np.pi * picks[a_level] * ls / d_a)
-            predicted[sb.start:sb.start + sec.rank] = (
-                state.amps[n] * np.exp(2j * np.pi * item.outcome.k * n / size)
-                * np.array(sec.lam) * phases)
-        predicted /= np.linalg.norm(predicted)
-        overlap = np.vdot(predicted, item.bob_state.amplitudes)
-        align = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-        worst = max(worst, float(np.linalg.norm(item.bob_state.amplitudes - align * predicted)))
-    return worst
+    items = alice_measure(state)
+    # Bob's populated slots: sector n, 1-based Schmidt label l, lam_{n,l}
+    secs = [sec for sec in state.sectors if state.amps[sec.level] != 0.0]
+    rank = [sec.rank for sec in secs]
+    n = np.repeat([sec.level for sec in secs], rank)
+    lam = np.concatenate([sec.lam for sec in secs])
+    l = np.arange(n.size) - np.repeat(np.cumsum(rank) - rank, rank) + 1
+    slots = np.searchsorted(gb.eigenvalues(), n) + l - 1
+    # outcome x slot: Fourier index k and the pick j on Alice's level N - n
+    a_level = state.total - n
+    k = np.array([item.outcome.k for item in items])[:, None]
+    picks = np.array([[j for _, j in item.outcome.j] for item in items])
+    j = picks[:, np.searchsorted([a for a, _ in ga.levels], a_level)]
+
+    predicted = np.zeros((len(items), gb.dim), dtype=complex)
+    predicted[:, slots] = (state.amps[n] * lam * np.exp(2j * np.pi * k * n / (ga.max_level + 1))
+                           * np.exp(-2j * np.pi * j * l / ga.degeneracies(a_level)))
+    predicted /= np.linalg.norm(predicted, axis=1, keepdims=True)
+    bob = np.array([item.bob_state.amplitudes for item in items])
+    align = np.exp(1j * np.angle(np.sum(predicted.conj() * bob, axis=1)))   # 1 at zero overlap
+    return float(np.linalg.norm(bob - align[:, None] * predicted, axis=1).max())
 
 
 class SyncProtocol:
@@ -463,28 +447,3 @@ def finite_group_align(group: GroupTable, mismatch: int, rng: RngLike) -> int:
     b_out, _, _ = measure(posterior, element_basis, gen)
     return group.mul(b_out, group.inverse(a_out))
 
-
-@dataclass(frozen=True)
-class ClockParams:
-    """Equally spaced clock: level spacing, number of levels, elapsed delay."""
-
-    level_spacing: float
-    dim: int
-    delay: float
-
-    def __post_init__(self):
-        if self.level_spacing <= 0.0 or not np.isfinite(self.level_spacing):
-            raise ContractViolation("level spacing must be positive and finite")
-        if self.dim < 2:
-            raise ContractViolation("a clock needs at least 2 levels")
-        if not np.isfinite(self.delay):
-            raise ContractViolation("delay must be finite")
-
-
-def clock_phase(params: ClockParams) -> float:
-    """Phase offset accumulated by a free clock over the delay, mod 2 pi.
-
-    With unit-spaced integer levels scaled by the level spacing E0, waiting a
-    time T turns synchronization into estimating phi = E0 T mod 2 pi.
-    """
-    return float((params.level_spacing * params.delay) % TWO_PI)

@@ -24,7 +24,7 @@ from .core import ContractViolation, Generator, Ket, _frozen_array
 from .estimation import CostFunction
 
 SECTOR_ATOL = 1e-12      # sector data normalization
-EIGEN_ATOL = 1e-10       # eigenstate gate for decomposition
+EIGEN_ATOL = 1e-10       # eigenstate gate of sector_magnitudes
 RESIDUAL_ATOL = 1e-10    # eigensolver residual gate
 
 
@@ -82,7 +82,7 @@ class BipartiteFrameState:
         if amps.shape != (n_tot + 1,):
             raise ContractViolation(
                 f"amplitudes must have one entry per sector 0..{n_tot}, got shape {amps.shape}")
-        if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > SECTOR_ATOL:
+        if not abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= SECTOR_ATOL:   # NaN fails
             raise ContractViolation("sector amplitudes must have unit sum of squares")
 
         sectors = tuple(self.sectors)
@@ -281,43 +281,3 @@ def sector_magnitudes(e_ket: Ket, gen_a: Generator, gen_b: Generator):
         mags[n] = np.linalg.norm(block)
     return n_tot, mags
 
-
-def sector_decompose(e_ket: Ket, gen_a: Generator, gen_b: Generator) -> BipartiteFrameState:
-    """Recover the sector form, amplitudes with their phases included.
-
-    Requires each sector block to be Schmidt-aligned with the degeneracy
-    labels (diagonal with one common phase), which holds for anything built
-    by :func:`expand`; a block mixed across labels raises, because flattening
-    it silently would re-pick local bases and break the round trip.
-    """
-    n_tot = _total_level(e_ket, gen_a, gen_b)
-    psi = e_ket.amplitudes.reshape(gen_a.dim, gen_b.dim)
-    amps = np.zeros(n_tot + 1, dtype=complex)
-    sectors = []
-    for n in range(n_tot + 1):
-        if not (gen_a.has_level(n_tot - n) and gen_b.has_level(n)):
-            continue
-        block = psi[gen_a.level_slice(n_tot - n), gen_b.level_slice(n)]
-        w = float(np.linalg.norm(block))
-        if w <= SECTOR_ATOL:
-            continue
-        r = min(block.shape)
-        diag = np.diagonal(block).copy()
-        if float(np.abs(diag).max()) <= SECTOR_ATOL:
-            raise ContractViolation(
-                f"sector {n} is not aligned with the degeneracy labels; "
-                "decomposition would have to re-pick local bases")
-        phase = diag[int(np.argmax(np.abs(diag)))]
-        phase /= abs(phase)
-        lam = np.abs(diag) / w
-        recon = np.zeros_like(block)
-        recon[np.arange(r), np.arange(r)] = w * phase * lam
-        if float(np.abs(block - recon).max()) > EIGEN_ATOL:
-            raise ContractViolation(
-                f"sector {n} is not aligned with the degeneracy labels; "
-                "decomposition would have to re-pick local bases")
-        while lam.size > 1 and lam[-1] == 0.0:
-            lam = lam[:-1]
-        amps[n] = w * phase
-        sectors.append(SchmidtSector(n, tuple(lam.tolist())))
-    return BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))

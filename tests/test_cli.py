@@ -488,6 +488,24 @@ def test_spec_inner_fields_exit_one(capsys, tmp_path, flag, spec, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("sectors", [
+    [{"n": 0, "e": math.nan}],
+    [{"n": 0, "e": math.nan}, {"n": 1, "e": 1.0}],
+    [{"n": 0, "e": [0.6, math.nan]}, {"n": 1, "e": 0.8}],
+])
+def test_nan_sector_amplitudes_exit_one(capsys, tmp_path, sectors):
+    # json writes the literal NaN, which json.load reads back as a float nan
+    spec = {"N": 1, "generatorA": [[0, 1], [1, 1]], "generatorB": [[0, 1], [1, 1]],
+            "sectors": sectors}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    assert "NaN" in path.read_text()
+    code, out, err = run(capsys, "cost", "--state", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(("frame-sync: invalid input: ", "frame-sync: error: "))
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sync_sim_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "monte_carlo_cost",
                         lambda *a, **k: (99.0, 1e-6))

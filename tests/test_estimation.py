@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesync import (ContractViolation, CostFunction, CovariantSeed,
-                       EstimateDensity, RandomSource, brute_force_min_cost,
-                       estimate_density, likelihood_cost, min_joint_cost,
+from framesync import (ContractViolation, CostFunction, EstimateDensity,
+                       RandomSource, brute_force_min_cost, estimate_density,
+                       likelihood_cost, min_joint_cost,
                        optimal_frameness_state, sample_estimate, variance_cost)
-from framesync.estimation import _outcome_probabilities
+from framesync.estimation import (_coordinate_descent, _grid_search,
+                                  _outcome_probabilities, _seed_weights)
 from conftest import random_unit
 
 TWO_PI = 2 * math.pi
@@ -154,6 +156,14 @@ def test_min_joint_cost_requires_normalization():
         min_joint_cost([1.0, 1.0], variance_cost())
 
 
+@pytest.mark.parametrize("e", [[np.nan, 1.0], [np.nan], [1.0, complex(0.0, np.nan)]])
+def test_min_joint_cost_rejects_nan(e):
+    with pytest.raises(ContractViolation, match="normalized"):
+        min_joint_cost(e, variance_cost())
+    with pytest.raises(ContractViolation, match="normalized"):
+        brute_force_min_cost(e, variance_cost())
+
+
 # ----------------------------------------------------------- error density
 
 def test_density_normalizes_and_is_nonnegative():
@@ -177,6 +187,12 @@ def test_density_single_level_is_uniform():
     np.testing.assert_allclose(dens.pdf(grid), 1 / TWO_PI, atol=1e-15)
 
 
+def _average_cost(dens, cost, points=1 << 16):
+    """Trapezoid quadrature of c(delta) p(delta) on a uniform periodic grid."""
+    grid = np.arange(points) * (TWO_PI / points)
+    return float(np.mean(cost.value(grid) * dens.pdf(grid)) * TWO_PI)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds, n=st.integers(1, 8))
 def test_average_cost_equals_min_joint_cost(seed, n):
@@ -185,17 +201,18 @@ def test_average_cost_equals_min_joint_cost(seed, n):
     m = np.abs(_random_profile(seed, n + 1))
     dens = estimate_density(m)
     for cost in (variance_cost(), likelihood_cost(n)):
-        assert dens.average_cost(cost) == pytest.approx(
+        assert _average_cost(dens, cost) == pytest.approx(
             min_joint_cost(m, cost), abs=1e-9)
 
 
 def test_average_cost_quadrature_is_exact_once_grid_beats_bandwidth():
+    # c * p is a trigonometric polynomial of degree 9, so 64 points are exact
     m = np.abs(_random_profile(7, 9))
     dens = estimate_density(m)
     cost = variance_cost()
-    coarse = dens.average_cost(cost, points=64)
-    fine = dens.average_cost(cost, points=1 << 16)
-    assert coarse == pytest.approx(fine, abs=1e-12)
+    coarse = _average_cost(dens, cost, points=64)
+    assert coarse == pytest.approx(_average_cost(dens, cost), abs=1e-12)
+    assert coarse == pytest.approx(min_joint_cost(m, cost), abs=1e-12)
 
 
 def test_density_input_gates():
@@ -205,6 +222,12 @@ def test_density_input_gates():
         EstimateDensity((0.9, 0.9))
     with pytest.raises(ContractViolation):
         EstimateDensity((-0.5, math.sqrt(0.75)))
+
+
+@pytest.mark.parametrize("m", [[np.nan, 0.5], [np.nan], [1.0, np.nan]])
+def test_density_rejects_nan(m):
+    with pytest.raises(ContractViolation, match="unit sum of squares"):
+        estimate_density(m)
 
 
 # ---------------------------------------------------------------- sampling
@@ -265,11 +288,20 @@ def test_sample_estimate_matches_density_ks():
 
 # ------------------------------------------------------------- brute force
 
+def _seed_search(e, cost, method, grid_points=360, restarts=8, rng=None):
+    """(value, theta) of brute_force_min_cost's search, seed phases included."""
+    c0, h = _seed_weights(e, cost)
+    if method == "grid":
+        return _grid_search(c0, h, grid_points)
+    return _coordinate_descent(c0, h, restarts, rng)
+
+
 def test_brute_force_flat_pair_is_exact_on_the_grid():
     e = np.full(2, 1 / math.sqrt(2))
-    val, seed = brute_force_min_cost(e, variance_cost(), return_seed=True)
+    val, theta = _seed_search(e, variance_cost(), "grid")
     assert val == pytest.approx(1.0, abs=1e-15)
-    assert seed.phases[0] == 0.0
+    assert val == brute_force_min_cost(e, variance_cost())
+    assert theta[0] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -295,9 +327,7 @@ def test_brute_force_descent_matches_formula(n_levels):
 def test_brute_force_seed_aligns_every_weighted_pair():
     e = _random_profile(42, 5)
     cost = variance_cost()
-    val, seed = brute_force_min_cost(e, cost, method="descent",
-                                     rng=RandomSource(2), return_seed=True)
-    theta = np.array(seed.phases)
+    val, theta = _seed_search(e, cost, "descent", rng=RandomSource(2))
     arg = np.angle(np.asarray(e, dtype=complex))
     for n in range(4):
         # the weights are negative, so each pair should sit at cos = +1
@@ -322,15 +352,34 @@ def _explicit_seed_cost(e, cost, theta):
 @pytest.mark.parametrize("n_levels, kw", [
     (2, dict(method="grid", grid_points=24)),
     (3, dict(method="grid", grid_points=24)),
-    (4, dict(method="grid", grid_points=12)),
     (7, dict(method="descent", rng=RandomSource(5))),
-], ids=["grid-1-free", "grid-2-free", "grid-3-free", "descent"])
+], ids=["grid-1-free", "grid-2-free", "descent"])
 def test_brute_force_value_is_the_cost_of_its_seed(cost, n_levels, kw):
     for seed in range(3):
         e = _random_profile(100 + 10 * n_levels + seed, n_levels)
-        val, found = brute_force_min_cost(e, cost, return_seed=True, **kw)
-        assert val == pytest.approx(_explicit_seed_cost(e, cost, found.phases),
-                                    abs=1e-12)
+        val, theta = _seed_search(e, cost, **kw)
+        assert theta[0] == 0.0
+        assert val == pytest.approx(_explicit_seed_cost(e, cost, theta), abs=1e-12)
+        assert val == brute_force_min_cost(e, cost, **kw)
+
+
+@pytest.mark.parametrize("n_levels", [2, 3])
+def test_grid_search_matches_the_loop_reference(n_levels):
+    axis = TWO_PI * np.arange(24) / 24
+    profiles = [_random_profile(200 + 10 * n_levels + seed, n_levels) for seed in range(3)]
+    if n_levels == 3:   # theta_1 carries no weight, so its values tie: 0 must win
+        profiles.append(np.array([1.0, 0.0, 1.0]) / math.sqrt(2))
+    for e in profiles:
+        for cost in (variance_cost(), likelihood_cost(2)):
+            best_val, best = math.inf, None
+            for idx in itertools.product(range(24), repeat=n_levels - 1):
+                theta = np.concatenate(([0.0], axis[list(idx)]))
+                val = _explicit_seed_cost(e, cost, theta)
+                if val < best_val:
+                    best_val, best = val, theta
+            val, theta = _seed_search(e, cost, "grid", grid_points=24)
+            assert val == pytest.approx(best_val, abs=1e-12)
+            assert theta.tolist() == best.tolist()
 
 
 def test_brute_force_likelihood_descent_at_n32():
@@ -342,16 +391,21 @@ def test_brute_force_likelihood_descent_at_n32():
 
 def test_brute_force_descent_replays_with_random_source():
     e = _random_profile(9, 6)
-    kw = dict(method="descent", restarts=4, return_seed=True)
-    v1, s1 = brute_force_min_cost(e, variance_cost(), rng=RandomSource(3), **kw)
-    v2, s2 = brute_force_min_cost(e, variance_cost(), rng=RandomSource(3), **kw)
-    assert v1 == v2 and s1.phases == s2.phases
+    v1, t1 = _seed_search(e, variance_cost(), "descent", restarts=4, rng=RandomSource(3))
+    v2, t2 = _seed_search(e, variance_cost(), "descent", restarts=4, rng=RandomSource(3))
+    assert v1 == v2 and t1.tolist() == t2.tolist()
+    assert v1 == brute_force_min_cost(e, variance_cost(), method="descent",
+                                      restarts=4, rng=RandomSource(3))
 
 
 def test_brute_force_input_gates():
     e = np.full(6, 1 / math.sqrt(6))
+    # a small grid, so that a broken cap fails the test instead of filling memory
     with pytest.raises(ContractViolation):
-        brute_force_min_cost(e, variance_cost(), method="grid")
+        brute_force_min_cost(e, variance_cost(), grid_points=4, method="grid")
+    with pytest.raises(ContractViolation, match="at most 2 free phases"):
+        brute_force_min_cost(e[:4] * math.sqrt(1.5), variance_cost(), grid_points=4,
+                             method="grid")
     with pytest.raises(ContractViolation):
         brute_force_min_cost(e, variance_cost(), method="nope")
     with pytest.raises(ContractViolation):
@@ -361,8 +415,8 @@ def test_brute_force_input_gates():
 
 
 def test_covariant_seed_gauge():
-    CovariantSeed((0.0, 1.0))
-    with pytest.raises(ContractViolation):
-        CovariantSeed((0.5, 1.0))
-    with pytest.raises(ContractViolation):
-        CovariantSeed(())
+    # both searches fix the gauge theta_0 = 0, also where no pair is weighted
+    for e in (_random_profile(3, 3), [1.0], [0.0, 1.0, 0.0]):
+        for method in ("grid", "descent"):
+            _, theta = _seed_search(e, variance_cost(), method, rng=RandomSource(1))
+            assert theta.shape == (len(e),) and theta[0] == 0.0

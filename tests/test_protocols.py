@@ -1,18 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesync import (ClockParams, ContractViolation, DensityMatrix,
-                       Generator, GroupTable, Ket, RandomSource, SyncProtocol,
-                       alice_fourier_basis, alice_measure, basis_ket,
-                       clock_phase, sector_form_residual, fidelity,
-                       fidelity_after_relay, finite_group_align, flat_state,
-                       frameness, frameness_of_ket, ket, likelihood_cost,
-                       min_joint_cost, monte_carlo_cost, no_go_witness,
-                       optimal_frameness_state, si_teleport,
-                       sine_state, single_sector_state, expand,
+from framesync import (BipartiteFrameState, ConditionalOutcome,
+                       ContractViolation, DensityMatrix, FourierOutcome,
+                       Generator, GroupTable, Ket, RandomSource, SchmidtSector,
+                       SyncProtocol, alice_measure, basis_ket,
+                       sector_form_residual, fidelity, fidelity_after_relay,
+                       finite_group_align, flat_state, frameness,
+                       frameness_of_ket, ket, likelihood_cost, min_joint_cost,
+                       monte_carlo_cost, no_go_witness, optimal_frameness_state,
+                       si_teleport, sine_state, single_sector_state, expand,
                        teleport_with_mismatch, tensor, variance_cost)
 import framesync.protocols as protocols
 from framesync.cli import main
@@ -27,13 +28,14 @@ seeds = st.integers(0, 2**32 - 1)
 
 def test_fourier_basis_nondegenerate_is_orthonormal_dft():
     g = Generator.ladder(5)
-    basis = alice_fourier_basis(g)
-    assert len(basis) == 5
-    b = np.vstack([v.amplitudes for v in basis])
+    outcomes, b = _fourier_family(g)
+    assert len(outcomes) == 5 and b.shape == (5, 5)
     np.testing.assert_allclose(b.conj() @ b.T, np.eye(5), atol=1e-12)
     # k = 0 row is uniform up to the within-level phase convention
-    np.testing.assert_allclose(np.abs(basis[0].amplitudes),
-                               np.full(5, 1 / math.sqrt(5)), atol=1e-12)
+    np.testing.assert_allclose(np.abs(b[0]), np.full(5, 1 / math.sqrt(5)), atol=1e-12)
+    # and row k is the DFT row exp(2 pi i k n / 5), up to that convention
+    dft = np.exp(2j * np.pi * np.outer(range(5), range(5)) / 5) / math.sqrt(5)
+    np.testing.assert_allclose(b / b[0], dft / dft[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("levels", [
@@ -44,26 +46,51 @@ def test_fourier_basis_nondegenerate_is_orthonormal_dft():
 ])
 def test_fourier_povm_family_resolves_identity(levels):
     g = Generator(levels)
-    _, vectors = _fourier_family(g, "povm")
+    _, vectors = _fourier_family(g)
     gram = vectors.conj().T @ vectors   # sum over outcomes of |v><v|, transposed
     np.testing.assert_allclose(gram.T, np.eye(g.dim), atol=1e-12)
 
 
-def test_fourier_family_counts_and_unit_norms():
-    g = Generator(((0, 2), (1, 1), (3, 2)))
-    outcomes, vectors = _fourier_family(g, "unit")
-    assert len(outcomes) == (3 + 1) * (2 * 1 * 2)
-    np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-12)
-    ks = {o.k for o in outcomes}
-    assert ks == set(range(4))
-    assert outcomes[0].j_map() == {0: 1, 1: 1, 3: 1}
+def _fourier_family_by_outcome(g):
+    """Loop reference of _fourier_family: one outcome, level and slot at a time."""
+    size = g.max_level + 1
+    degs = [d for _, d in g.levels]
+    n_patterns = int(np.prod(degs))
+    outcomes, rows = [], []
+    for k in range(size):
+        for pattern in itertools.product(*[range(1, d + 1) for d in degs]):
+            v = np.zeros(g.dim, dtype=complex)
+            off = 0
+            for (n, d), j in zip(g.levels, pattern):
+                ls = np.arange(1, d + 1)
+                phase = np.exp(2j * np.pi * (k * n / size + j * ls / d))
+                v[off:off + d] = phase / math.sqrt(size * n_patterns)
+                off += d
+            outcomes.append(FourierOutcome(k, tuple((n, j) for (n, _), j in zip(g.levels, pattern))))
+            rows.append(v)
+    return outcomes, np.array(rows)
+
+
+@pytest.mark.parametrize("levels", [
+    ((0, 1),),
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((0, 2), (1, 1), (3, 2)),
+    ((1, 3), (2, 1), (4, 2)),
+    ((0, 2), (1, 3), (2, 2), (5, 1)),
+])
+def test_fourier_family_matches_the_loop_reference(levels):
+    g = Generator(levels)
+    outcomes, vectors = _fourier_family(g)
+    want_outcomes, want = _fourier_family_by_outcome(g)
+    assert len(outcomes) == (g.max_level + 1) * int(np.prod([d for _, d in levels]))
+    assert outcomes == want_outcomes          # labels in (k, picks) order
+    assert all(type(j) is int for o in outcomes for _, j in o.j)
+    np.testing.assert_array_equal(vectors, want)
 
 
 def test_fourier_family_rejects_negative_levels():
     with pytest.raises(ContractViolation):
-        _fourier_family(Generator(((-1, 1), (0, 1))), "unit")
-    with pytest.raises(ContractViolation):
-        _fourier_family(Generator.ladder(2), "nope")
+        _fourier_family(Generator(((-1, 1), (0, 1))))
 
 
 def test_alice_measure_shared_pair_frozen():
@@ -105,6 +132,63 @@ def test_every_outcome_leaves_bob_with_the_joint_profile(seed, n_tot, max_deg):
 def test_collapsed_states_match_sector_form(seed, n_tot, max_deg):
     state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
     assert sector_form_residual(state) < 1e-12
+
+
+def _residual_by_outcome(state, items):
+    """Loop reference of sector_form_residual, one outcome and sector at a time."""
+    ga, gb = state.gen_a, state.gen_b
+    size = ga.max_level + 1
+    worst = 0.0
+    for item in items:
+        predicted = np.zeros(gb.dim, dtype=complex)
+        picks = item.outcome.j_map()
+        for n in range(state.total + 1):
+            sec = state.sector(n)
+            if sec is None or state.amps[n] == 0.0:
+                continue
+            a_level = state.total - n
+            d_a = ga.degeneracy(a_level)
+            sb = gb.level_slice(n)
+            ls = np.arange(1, sec.rank + 1)
+            phases = np.exp(-2j * np.pi * picks[a_level] * ls / d_a)
+            predicted[sb.start:sb.start + sec.rank] = (
+                state.amps[n] * np.exp(2j * np.pi * item.outcome.k * n / size)
+                * np.array(sec.lam) * phases)
+        predicted /= np.linalg.norm(predicted)
+        overlap = np.vdot(predicted, item.bob_state.amplitudes)
+        align = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+        worst = max(worst, float(np.linalg.norm(item.bob_state.amplitudes - align * predicted)))
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n_tot=st.integers(1, 5), max_deg=st.integers(1, 3))
+def test_sector_form_residual_matches_the_per_outcome_loop(seed, n_tot, max_deg):
+    state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
+    items = alice_measure(state)
+    assert sector_form_residual(state) == pytest.approx(
+        _residual_by_outcome(state, items), abs=1e-12)
+    # Bob's states handed to the wrong outcomes: a large residual, the same in both
+    shifted = tuple(ConditionalOutcome(a.outcome, a.probability, b.bob_state)
+                    for a, b in zip(items, items[1:] + items[:1]))
+    want = _residual_by_outcome(state, shifted)
+    original = protocols.alice_measure
+    protocols.alice_measure = lambda s: shifted
+    try:
+        got = sector_form_residual(state)
+    finally:
+        protocols.alice_measure = original
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_sector_form_residual_skips_empty_sectors():
+    g = Generator(((0, 2), (1, 1), (2, 2)))
+    amps = np.array([0.6, 0.0, 0.8j])
+    state = BipartiteFrameState(2, g, g, amps, (SchmidtSector(2, (0.6, 0.8)),
+                                                SchmidtSector(0, (1.0, 0.0))))
+    assert sector_form_residual(state) < 1e-12
+    assert sector_form_residual(state) == pytest.approx(
+        _residual_by_outcome(state, alice_measure(state)), abs=1e-12)
 
 
 def test_per_outcome_cost_equals_joint_optimum():
@@ -162,10 +246,10 @@ def test_sync_sim_enumerates_alice_outcomes_once_per_n(monkeypatch, capsys):
     calls = []
     family = protocols._fourier_family
     monkeypatch.setattr(protocols, "_fourier_family",
-                        lambda g, w: (calls.append(w), family(g, w))[1])
+                        lambda g: (calls.append(g.dim), family(g))[1])
     assert main(["sync-sim", "--N-range", "2..4", "--trials", "200"]) == 0
     capsys.readouterr()
-    assert calls == ["povm"] * 3
+    assert calls == [3, 4, 5]
 
 
 def test_monte_carlo_cost_coverage_over_many_seeds():
@@ -542,19 +626,3 @@ def test_align_run_checks_its_group_once(monkeypatch, capsys):
 def test_finite_group_align_input_gate():
     with pytest.raises(ContractViolation):
         finite_group_align(GroupTable.cyclic(3), 3, RandomSource(0))
-
-
-# ----------------------------------------------------------------- clocks
-
-def test_clock_phase_wraps_the_accumulated_angle():
-    assert clock_phase(ClockParams(2.0, 4, 0.25)) == pytest.approx(0.5)
-    assert clock_phase(ClockParams(1.5, 2, 5.0)) == pytest.approx(7.5 - TWO_PI)
-
-
-def test_clock_params_validation():
-    with pytest.raises(ContractViolation):
-        ClockParams(0.0, 4, 1.0)
-    with pytest.raises(ContractViolation):
-        ClockParams(1.0, 1, 1.0)
-    with pytest.raises(ContractViolation):
-        ClockParams(1.0, 4, math.inf)

@@ -5,17 +5,16 @@ from hypothesis import given, settings, strategies as st
 from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
                        Generator, Ket, NotInvariantState, SchmidtSector, expand,
                        flat_state, ket, likelihood_cost, min_joint_cost,
-                       phase_shift, sector_decompose, sector_magnitudes,
-                       sine_state, single_sector_state, tensor,
-                       optimal_frameness_state, variance_cost)
+                       sector_magnitudes, sine_state, single_sector_state,
+                       tensor, optimal_frameness_state, variance_cost)
 from conftest import level_preserving_unitary, random_frame_state
 
 seeds = st.integers(0, 2**32 - 1)
 
 
 def _total_op(ga, gb):
-    return (tensor(ga.matrix(), np.eye(gb.dim))
-            + tensor(np.eye(ga.dim), gb.matrix()))
+    return (tensor(np.diag(ga.eigenvalues()), np.eye(gb.dim))
+            + tensor(np.eye(ga.dim), np.diag(gb.eigenvalues())))
 
 
 # ---------------------------------------------------------- named profiles
@@ -166,6 +165,15 @@ def test_frame_state_validation():
         BipartiteFrameState(2, neg, g, amps, ok)
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0.0, 1.0], [np.nan] * 3,
+                                  [complex(0.6, np.nan), 0.8, 0.0]])
+def test_frame_state_rejects_nan_amplitudes(amps):
+    g = Generator.ladder(3)
+    ok = tuple(SchmidtSector(n, (1.0,)) for n in range(3))
+    with pytest.raises(ContractViolation, match="unit sum of squares"):
+        BipartiteFrameState(2, g, g, np.array(amps, dtype=complex), ok)
+
+
 def _sector_error(n_tot, gen_a, gen_b, amps, sectors):
     """Loop reference of BipartiteFrameState's sector checks: the first
     failing message, or None."""
@@ -300,62 +308,10 @@ def test_expand_gives_total_level_eigenstate(seed, n_tot, max_deg):
 def test_expanded_state_only_picks_up_a_global_phase(seed, phi):
     s = random_frame_state(np.random.default_rng(seed), 3, 2)
     psi = expand(s).amplitudes
-    u = tensor(phase_shift(s.gen_a, phi), np.eye(s.gen_b.dim)) \
-        @ tensor(np.eye(s.gen_a.dim), phase_shift(s.gen_b, phi))
-    np.testing.assert_allclose(u @ psi, np.exp(-1j * phi * s.total) * psi,
-                               atol=1e-12)
-
-
-# -------------------------------------------------------------- decompose
-
-@settings(max_examples=40, deadline=None)
-@given(seed=seeds, n_tot=st.integers(1, 5), max_deg=st.integers(1, 3))
-def test_expand_decompose_round_trip(seed, n_tot, max_deg):
-    s = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
-    back = sector_decompose(expand(s), s.gen_a, s.gen_b)
-    assert back.total == s.total
-    np.testing.assert_allclose(back.amps, s.amps, atol=1e-13)
-    for n in range(n_tot + 1):
-        np.testing.assert_allclose(back.sector(n).lam, s.sector(n).lam, atol=1e-13)
-
-
-def test_decompose_shared_pair_frozen():
-    psi = ket([0, 1, 1, 0]) .normalized()
-    g = Generator.ladder(2)
-    s = sector_decompose(psi, g, g)
-    assert s.total == 1
-    np.testing.assert_allclose(s.amps, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
-
-
-def test_decompose_trims_trailing_zero_schmidt_entries():
-    g2 = Generator(((0, 2), (1, 2)))
-    s = BipartiteFrameState(
-        1, g2, g2, np.array([1.0, 0.0]),
-        (SchmidtSector(0, (1.0, 0.0)),))
-    back = sector_decompose(expand(s), g2, g2)
-    assert back.sector(0).lam == (1.0,)
-
-
-def test_decompose_rejects_non_eigenstate():
-    g = Generator.ladder(2)
-    with pytest.raises(NotInvariantState, match="level-sum support"):
-        sector_decompose(ket([1, 0, 0, 1]).normalized(), g, g)
-
-
-def test_decompose_rejects_label_mixing_block():
-    g = Generator(((0, 2), (1, 2)))
-    psi = np.zeros((4, 4), dtype=complex)
-    psi[2, 1] = 1.0   # A level 1 label 1 paired with B level 0 label 2
-    with pytest.raises(ContractViolation, match="not aligned"):
-        sector_decompose(Ket(psi.reshape(-1)), g, g)
-
-
-def test_decompose_keeps_sector_phases():
-    amps = np.array([0.6, 0.8j])
-    s = BipartiteFrameState(1, Generator.ladder(2), Generator.ladder(2), amps,
-                            (SchmidtSector(0, (1.0,)), SchmidtSector(1, (1.0,))))
-    back = sector_decompose(expand(s), s.gen_a, s.gen_b)
-    np.testing.assert_allclose(back.amps, amps, atol=1e-15)
+    u_a = np.exp(-1j * phi * s.gen_a.eigenvalues())
+    u_b = np.exp(-1j * phi * s.gen_b.eigenvalues())
+    np.testing.assert_allclose(np.kron(u_a, u_b) * psi,
+                               np.exp(-1j * phi * s.total) * psi, atol=1e-12)
 
 
 # ------------------------------------------------------------- magnitudes
@@ -390,6 +346,12 @@ def test_sector_magnitudes_handles_missing_levels():
     n_tot, mags = sector_magnitudes(Ket(psi.reshape(-1)), ga, gb)
     assert n_tot == 2
     np.testing.assert_allclose(mags, [np.sqrt(0.5), 0.0, np.sqrt(0.5)], atol=1e-15)
+
+
+def test_sector_magnitudes_rejects_non_eigenstate():
+    g = Generator.ladder(2)
+    with pytest.raises(NotInvariantState, match=r"level-sum support \[0, 2\]"):
+        sector_magnitudes(ket([1, 0, 0, 1]).normalized(), g, g)
 
 
 def test_sector_magnitudes_dimension_gate():
