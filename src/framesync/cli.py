@@ -1,6 +1,7 @@
 """frame-sync command line.
 
-Subcommands: cost, scaling, sync-sim, teleport-demo, witness, align.
+Usage: frame-sync <command> [flags], with the command one of cost, scaling,
+sync-sim, teleport-demo, witness or align and the flags from config.SETTINGS.
 Reports are CSV on stdout (or --out) with a '#'-prefixed metadata block, or
 the same content as JSON with --json.  Exit codes: 0 success, 1 usage or
 config error, 2 self-check failure (a computed invariant out of tolerance).
@@ -12,16 +13,16 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, GRID_CAP, RunConfig, UsageError,
-                     cost_from_spec, cost_label, frame_state_from_spec, ket_from_spec,
-                     merge_file_config, parse_n_range, resource_from_spec)
+from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, GRID_CAP, SETTINGS,
+                     SYNC_WORK_CAP, RunConfig, UsageError, cost_from_spec, cost_label,
+                     frame_state_from_spec, ket_from_spec, parse_n_range,
+                     resource_from_spec, run_config)
 from .core import ContractViolation, RandomSource, fidelity
 from .estimation import brute_force_min_cost, min_joint_cost
 from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
@@ -95,10 +96,6 @@ def _emit(table: ReportTable, cfg: RunConfig) -> int:
     return table.exit_code
 
 
-def _angle_out(phi: float, cfg: RunConfig) -> float:
-    return math.degrees(phi) if cfg.degrees else phi
-
-
 def _state_label(cfg: RunConfig) -> str:
     if cfg.state is None:
         return "flat"
@@ -108,6 +105,7 @@ def _state_label(cfg: RunConfig) -> str:
 
 
 def cmd_cost(cfg: RunConfig) -> ReportTable:
+    """Optimal joint cost and frameness of a resource state."""
     state = frame_state_from_spec(cfg.state, cfg.n if cfg.n is not None else 4,
                                   cfg.cost, n_cap=COST_N_CAP)
     cost = cost_from_spec(cfg.cost, state.total)
@@ -116,7 +114,7 @@ def cmd_cost(cfg: RunConfig) -> ReportTable:
     columns = ["state", "N", "cost_type", "min_cost", "frameness"]
     if cfg.oracle:
         columns += ["oracle_cost", "oracle_gap"]
-    table = ReportTable(columns, metadata={"command": "cost", "config": cfg.echo()})
+    table = ReportTable(columns)
 
     row = [_state_label(cfg), state.total, cost_label(cfg.cost), value,
            frameness(state, cost)]
@@ -137,14 +135,14 @@ def cmd_cost(cfg: RunConfig) -> ReportTable:
 
 
 def cmd_scaling(cfg: RunConfig) -> ReportTable:
+    """Cost versus N for one or more state families."""
     lo, hi = parse_n_range(cfg.n_range or "8..256")
     if hi > COST_N_CAP:
         raise UsageError(f"N range capped at {COST_N_CAP}")
     families = (cfg.state if isinstance(cfg.state, str) else None) or "flat,sine-paper,optimal"
     family_list = [f.strip() for f in families.split(",") if f.strip()]
 
-    table = ReportTable(["family", "N", "min_cost"],
-                        metadata={"command": "scaling", "config": cfg.echo()})
+    table = ReportTable(["family", "N", "min_cost"])
     slopes = []
     for family in family_list:
         points = []
@@ -168,6 +166,7 @@ def cmd_scaling(cfg: RunConfig) -> ReportTable:
 
 
 def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
+    """Monte Carlo of the one-way sync protocol vs the optimum."""
     if cfg.n_range:
         lo, hi = parse_n_range(cfg.n_range)
         n_values = list(range(lo, hi + 1))
@@ -176,11 +175,13 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
     if max(n_values) > DEMO_N_CAP:
         raise UsageError(f"sync-sim N capped at {DEMO_N_CAP}")
     trials = cfg.trials if cfg.trials is not None else 10000
+    if trials * len(n_values) > SYNC_WORK_CAP:
+        raise UsageError(f"sync-sim work trials * N values capped at {SYNC_WORK_CAP}, "
+                         f"got {trials} * {len(n_values)}")
 
     table = ReportTable(
         ["N", "state", "analytic_min_cost", "mc_mean", "std_error", "z_score",
-         "sector_form_residual"],
-        metadata={"command": "sync-sim", "config": cfg.echo()})
+         "sector_form_residual"])
     root = RandomSource(cfg.seed)
     worst_z = 0.0
     for n in n_values:
@@ -199,14 +200,14 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
 
 
 def cmd_teleport_demo(cfg: RunConfig) -> ReportTable:
+    """Teleportation fidelity under a frame mismatch."""
     psi, _ = ket_from_spec(cfg.state if cfg.state is not None else cfg.psi0)
     points = cfg.grid
     if not 2 <= points <= GRID_CAP:
         raise UsageError(f"grid must be in 2..{GRID_CAP}")
     table = ReportTable(
         ["phi", "ui_fidelity", "si_fidelity"],
-        metadata={"command": "teleport-demo", "config": cfg.echo(),
-                  "angle_unit": "degrees" if cfg.degrees else "radians"})
+        metadata={"angle_unit": "degrees" if cfg.degrees else "radians"})
     phis = TWO_PI * np.arange(points) / points
     step = max(1, TELEPORT_CHUNK // psi.dim ** 2)
     ui = np.concatenate([
@@ -214,20 +215,20 @@ def cmd_teleport_demo(cfg: RunConfig) -> ReportTable:
         for start in range(0, points, step)]).tolist()
     si = fidelity_after_relay(psi.amplitudes, phis).tolist()
     for phi, ui_phi, si_phi in zip(phis.tolist(), ui, si):
-        table.add(_angle_out(phi, cfg), ui_phi, si_phi)
+        table.add(math.degrees(phi) if cfg.degrees else phi, ui_phi, si_phi)
     table.add("average", sum(ui) / points, 1.0)
     return table
 
 
 def cmd_witness(cfg: RunConfig) -> ReportTable:
+    """Level-difference witness for the classical no-go."""
     psi0, gen_s = ket_from_spec(cfg.psi0)
     resource, gen_a, gen_b = resource_from_spec(cfg.state, cfg.n, cfg.cost)
     if psi0.dim * resource.dim > (DEMO_N_CAP + 1) ** 3:
         raise UsageError("witness problem size is capped; reduce the dimensions")
     report = no_go_witness(psi0, gen_s, resource, gen_a, gen_b)
 
-    table = ReportTable(["quantity", "value"],
-                        metadata={"command": "witness", "config": cfg.echo()})
+    table = ReportTable(["quantity", "value"])
     table.add("level_differences", " ".join(str(l) for l in report.levels))
     table.add("weights", " ".join(repr(w) for w in report.weights))
     table.add("l_max", report.l_max)
@@ -241,6 +242,7 @@ def cmd_witness(cfg: RunConfig) -> ReportTable:
 
 
 def cmd_align(cfg: RunConfig) -> ReportTable:
+    """Exact alignment for a finite cyclic group."""
     order = cfg.group_order if cfg.group_order is not None else 2
     if not 2 <= order <= DEMO_N_CAP:
         raise UsageError(f"group order must be in 2..{DEMO_N_CAP}")
@@ -253,8 +255,7 @@ def cmd_align(cfg: RunConfig) -> ReportTable:
     group = GroupTable.cyclic(order)
     root = RandomSource(cfg.seed)
 
-    table = ReportTable(["g", "trials", "errors"],
-                        metadata={"command": "align", "config": cfg.echo()})
+    table = ReportTable(["g", "trials", "errors"])
     total_errors = 0
     for g in range(order):
         gen = root.split(g).generator()   # one stream per mismatch
@@ -285,106 +286,27 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frame-sync",
-                     description="Phase-reference synchronization toolkit")
+                     description="Phase-reference synchronization toolkit",
+                     epilog="commands:\n" + "\n".join(
+                         f"  {name:15}{fn.__doc__}" for name, fn in COMMANDS.items()),
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"frame-sync {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("cost", "optimal joint cost and frameness of a resource state"),
-        ("scaling", "cost versus N for one or more state families"),
-        ("sync-sim", "Monte Carlo of the one-way sync protocol vs the optimum"),
-        ("teleport-demo", "teleportation fidelity under a frame mismatch"),
-        ("witness", "level-difference witness for the classical no-go"),
-        ("align", "exact alignment for a finite cyclic group"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed (u64)")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-        p.add_argument("--N", dest="n", type=int, default=None, help="total level N")
-        p.add_argument("--N-range", dest="n_range", default=None,
-                       help="inclusive range a..b")
-        p.add_argument("--state", default=None,
-                       help="state family or spec path (teleport-demo: input ket)")
-        p.add_argument("--cost", default=None,
-                       help="variance | likelihood | cost spec path")
-        p.add_argument("--psi0", default=None,
-                       help="input ket name or spec path (witness)")
-        p.add_argument("--oracle", action="store_true",
-                       help="add the brute-force seed-search value")
-        p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--degrees", action="store_true",
-                       help="angles in degrees at the boundary")
-        p.add_argument("--json", dest="json_out", action="store_true",
-                       help="JSON report instead of CSV")
-        p.add_argument("--grid", type=int, default=None,
-                       help="phase grid points (teleport-demo)")
-        p.add_argument("--d", dest="group_order", type=int, default=None,
-                       help="cyclic group order (align)")
+    parser.add_argument("command", choices=COMMANDS, metavar="command")
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    for s in SETTINGS:
+        if s.field is not None:
+            kind = {"int": {"type": int}, "bool": {"action": "store_true"}}.get(s.kind, {})
+            parser.add_argument("--" + s.key.replace("_", "-"), dest=s.field, help=s.help, **kind)
     return parser
-
-
-def _check_int(merged: dict, key: str, name: str, positive: bool = False) -> None:
-    """Exit 1 on a config-file value that is not an integer (bools included),
-    or not positive when ``positive``; flag values are integers already."""
-    value = merged.get(key)
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
-        kind = "a positive integer" if positive else "an integer"
-        raise UsageError(f"config {name} must be {kind}, got {value!r}")
-
-
-def _check_str(merged: dict, key: str, name: str) -> None:
-    """Exit 1 on a config-file value that is not a string; flag values are
-    strings already."""
-    value = merged.get(key)
-    if value is not None and not isinstance(value, str):
-        raise UsageError(f"config {name} must be a string, got {value!r}")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    merged = merge_file_config(vars(args), args.config)
-    for key, name in (("seed", "seed"), ("trials", "trials"), ("n", "N"),
-                      ("grid", "grid"), ("group_order", "d")):
-        _check_int(merged, key, name)
-    for key, name in (("n_range", "N_range"), ("out", "out")):
-        _check_str(merged, key, name)
-    # "threads" changes no work; it is still validated so that config files
-    # and environments that set it keep running.
-    _check_int(merged, "threads", "threads", positive=True)
-    env_threads = os.environ.get("FRAME_SYNC_THREADS")
-    if merged.get("threads") is None and env_threads:
-        try:
-            positive = int(env_threads) >= 1
-        except ValueError:
-            positive = False
-        if not positive:
-            raise UsageError(
-                f"FRAME_SYNC_THREADS must be a positive integer, got {env_threads!r}")
-    return RunConfig(
-        command=merged["command"],
-        seed=merged["seed"] if merged.get("seed") is not None else 0,
-        trials=merged.get("trials"),
-        n=merged.get("n"),
-        n_range=merged.get("n_range"),
-        state=merged.get("state"),
-        cost=merged.get("cost"),
-        psi0=merged.get("psi0"),
-        oracle=bool(merged.get("oracle")),
-        degrees=bool(merged.get("degrees")),
-        json_out=bool(merged.get("json_out")),
-        out=merged.get("out"),
-        grid=merged["grid"] if merged.get("grid") is not None else 24,
-        group_order=merged.get("group_order"),
-    )
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
+        cfg = run_config(args.command, vars(args), args.config)
         table = COMMANDS[cfg.command](cfg)
+        table.metadata = {"command": cfg.command, "config": cfg.echo(), **table.metadata}
         return _emit(table, cfg)
     except UsageError as exc:
         print(f"frame-sync: error: {exc}", file=sys.stderr)

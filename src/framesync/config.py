@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,9 @@ COST_N_CAP = 512   # profile-only commands
 DEMO_N_CAP = 64    # anything that expands a full statevector
 GRID_CAP = 4096    # teleport-demo phase grid points
 ALIGN_WORK_CAP = 1 << 17   # align attempts d * trials, about 8 s at d = 64
+SYNC_WORK_CAP = 1 << 19    # sync-sim trials * N values, about 11 s at N = 64
+COST_COEFF_CAP = 1e100     # keeps every cost, its square and a sum over trials finite
+NORM_ATOL = 1e-10          # normalization of spec-file kets, and so each amplitude's bound
 
 
 class UsageError(ValueError):
@@ -63,81 +67,93 @@ def _as_spec_dict(value, kind: str) -> dict:
     raise UsageError(f"{kind} spec must be a name, path, or JSON object")
 
 
-def _spec_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
+# JSON-value kinds of config-file values and spec-file fields.  A value of the
+# wrong kind exits 1 (UsageError); nothing is coerced, and a bool is no integer.
+_KINDS = {"int": (int, "an integer"), "count": (int, "a positive integer"),
+          "str": (str, "a string"), "bool": (bool, "true or false")}
 
 
-def _spec_list(values, what: str) -> list:
-    if not isinstance(values, list):
-        raise UsageError(f"{what} must be a list")
-    return values
+def _typed(value, what: str, kind: str = "int", lo: int | None = None, hi: int | None = None):
+    """``value`` if it is a JSON value of ``kind``, and in lo..hi when they are given."""
+    want, name = _KINDS[kind]
+    if (not isinstance(value, want) or isinstance(value, bool) is not (want is bool)
+            or kind == "count" and value < 1):
+        raise UsageError(f"{what} must be {name}, got {value!r}")
+    if lo is not None and not lo <= value <= hi:
+        raise UsageError(f"{what} must be in {lo}..{hi}, got {value}")
+    return value
 
 
-def _spec_floats(values, what: str) -> tuple:
-    if isinstance(values, (list, tuple)):
+def _numbers(values, what: str) -> tuple:
+    if isinstance(values, list) and not any(
+            isinstance(x, bool) or not isinstance(x, (int, float)) for x in values):
         try:
-            return tuple(float(x) for x in values)
-        except (TypeError, ValueError, OverflowError):
+            return tuple(map(float, values))
+        except OverflowError:   # an integer beyond the float range
             pass
     raise UsageError(f"{what} must be a list of numbers, got {values!r}")
 
 
+def _amplitude(value, what: str) -> complex:
+    # Every amplitude belongs to a normalized state; the bound also keeps its square finite.
+    pair = value if isinstance(value, list) else [value, 0]
+    try:
+        c = complex(*_numbers(pair, what)) if len(pair) == 2 else math.nan
+        if abs(c) <= 1.0 + NORM_ATOL:   # NaN fails
+            return c
+    except (UsageError, OverflowError):   # OverflowError: abs of a huge pair
+        pass
+    raise UsageError(
+        f"{what} must be a number or an [re, im] pair of magnitude at most 1, got {value!r}")
+
+
+def _unit_ket(values, what: str) -> Ket:
+    if not isinstance(values, list):
+        raise UsageError(f"{what} must be a list")
+    psi = Ket(np.array([_amplitude(v, "amplitude") for v in values], dtype=complex))
+    if not psi.is_unit(NORM_ATOL):
+        raise UsageError(f"{what} must be normalized")
+    return psi
+
+
+def _cost_dict(spec) -> dict:
+    if spec in (None, "variance", "likelihood"):
+        return {"type": spec or "variance"}
+    return _as_spec_dict(spec, "cost")
+
+
 def cost_from_spec(spec, state_n: int | None = None) -> CostFunction:
     """Resolve a cost spec; likelihood truncation defaults to the state's N."""
-    if spec is None or spec == "variance":
-        return variance_cost()
-    if spec == "likelihood":
-        if state_n is None:
-            raise UsageError("likelihood cost needs a state (for the default qmax) or an explicit qmax")
-        return likelihood_cost(state_n)
-    d = _as_spec_dict(spec, "cost")
+    d = _cost_dict(spec)
     kind = d.get("type", "fourier" if "cq" in d else None)
     if kind == "variance":
         return variance_cost()
     if kind == "likelihood":
-        qmax = d.get("qmax", state_n)
-        if qmax is None:
-            raise UsageError("likelihood cost spec needs qmax or a state context")
-        qmax = _spec_int(qmax, "likelihood qmax")
-        if qmax > COST_N_CAP:
-            raise UsageError(f"likelihood qmax capped at {COST_N_CAP}, got {qmax}")
-        return likelihood_cost(qmax)
+        return likelihood_cost(_typed(d.get("qmax", state_n), "likelihood qmax", lo=1, hi=COST_N_CAP))
     if kind == "fourier":
         cq = d.get("cq")
-        if not isinstance(cq, (list, tuple)) or not cq:
+        if not isinstance(cq, list) or not cq:
             raise UsageError("fourier cost spec needs a nonempty cq list [c0, c1, ...]")
-        c = _spec_floats(cq, "fourier cq")
+        c = _numbers(cq, "fourier cq")
+        if sum(map(abs, c)) > COST_COEFF_CAP:
+            raise UsageError(f"fourier cq magnitudes must sum to at most {COST_COEFF_CAP:g}")
         return CostFunction(c[0], c[1:])
     raise UsageError(f"unknown cost type {kind!r}")
 
 
 def cost_label(spec) -> str:
-    if spec is None:
-        return "variance"
-    if isinstance(spec, str) and spec in ("variance", "likelihood"):
-        return spec
-    d = _as_spec_dict(spec, "cost")
-    return str(d.get("type", "fourier"))
-
-
-def _complex_entry(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        value = (value, 0.0)
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise UsageError(f"{what} must be a number or an [re, im] pair")
-    re, im = _spec_floats(value, what)
-    return complex(re, im)
+    return str(_cost_dict(spec).get("type", "fourier"))
 
 
 def _generator_from_spec(pairs, what: str) -> Generator:
-    if not isinstance(pairs, (list, tuple)) or not pairs:
+    if (not isinstance(pairs, list) or not pairs
+            or not all(isinstance(p, list) and len(p) == 2 for p in pairs)):
         raise UsageError(f"{what} must be a list of [eigenvalue, degeneracy] pairs")
+    levels = tuple((_typed(n, f"{what} eigenvalue"), _typed(d, f"{what} degeneracy"))
+                   for n, d in pairs)
     try:
-        return Generator(tuple((int(n), int(d)) for n, d in pairs))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return Generator(levels)
+    except ContractViolation as exc:
         raise UsageError(f"bad {what}: {exc}")
 
 
@@ -155,9 +171,7 @@ def frame_state_from_spec(spec, n: int | None, cost_spec,
         n_eff = d.get("N", n)
         if n_eff is None:
             raise UsageError(f"family {family!r} needs N (flag --N or spec field)")
-        n_eff = _spec_int(n_eff, "state N")
-        if not 1 <= n_eff <= n_cap:
-            raise UsageError(f"N must be in 1..{n_cap}, got {n_eff}")
+        n_eff = _typed(n_eff, "state N", lo=1, hi=n_cap)
         if family == "flat":
             return flat_state(n_eff)
         if family == "sine-paper":
@@ -165,15 +179,13 @@ def frame_state_from_spec(spec, n: int | None, cost_spec,
         if family == "optimal":
             return optimal_frameness_state(n_eff, cost_from_spec(cost_spec, n_eff))
         if family == "single-sector":
-            return single_sector_state(n_eff, _spec_int(d.get("level", 0), "single-sector level"))
+            return single_sector_state(n_eff, _typed(d.get("level", 0), "single-sector level"))
         raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
 
     for key in ("N", "generatorA", "generatorB", "sectors"):
         if key not in d:
             raise UsageError(f"explicit state spec is missing field {key!r}")
-    n_tot = _spec_int(d["N"], "state N")
-    if not 0 <= n_tot <= n_cap:
-        raise UsageError(f"N must be in 0..{n_cap}, got {n_tot}")
+    n_tot = _typed(d["N"], "state N", lo=0, hi=n_cap)
     gen_a = _generator_from_spec(d["generatorA"], "generatorA")
     gen_b = _generator_from_spec(d["generatorB"], "generatorB")
     if not isinstance(d["sectors"], list):
@@ -183,11 +195,9 @@ def frame_state_from_spec(spec, n: int | None, cost_spec,
     for entry in d["sectors"]:
         if not isinstance(entry, dict) or "n" not in entry or "e" not in entry:
             raise UsageError("each sector needs fields 'n' and 'e'")
-        level = _spec_int(entry["n"], "sector n")
-        if not 0 <= level <= n_tot:
-            raise UsageError(f"sector level {level} outside 0..{n_tot}")
-        amps[level] = _complex_entry(entry["e"], f"sector {level} amplitude")
-        lam = _spec_floats(entry.get("lambdas", [1.0]), f"sector {level} lambdas")
+        level = _typed(entry["n"], "sector n", lo=0, hi=n_tot)
+        amps[level] = _amplitude(entry["e"], f"sector {level} amplitude")
+        lam = _numbers(entry.get("lambdas", [1.0]), f"sector {level} lambdas")
         sectors.append(SchmidtSector(level, lam))
     try:
         return BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
@@ -212,17 +222,13 @@ def ket_from_spec(spec):
     d = _as_spec_dict(spec, "ket")
     if "amplitudes" not in d:
         raise UsageError("ket spec needs an 'amplitudes' field")
-    ampl = np.asarray([_complex_entry(v, "amplitude")
-                       for v in _spec_list(d["amplitudes"], "ket amplitudes")])
-    if ampl.size > DEMO_N_CAP:
+    psi = _unit_ket(d["amplitudes"], "ket spec amplitudes")
+    if psi.dim > DEMO_N_CAP:
         raise UsageError(f"ket dimension capped at {DEMO_N_CAP}")
     gen = (_generator_from_spec(d["generator"], "generator")
-           if "generator" in d else Generator.ladder(ampl.size))
-    if gen.dim != ampl.size:
+           if "generator" in d else Generator.ladder(psi.dim))
+    if gen.dim != psi.dim:
         raise UsageError("ket generator dimension does not match the amplitudes")
-    psi = Ket(ampl)
-    if not psi.is_unit(1e-10):
-        raise UsageError("ket spec amplitudes must be normalized")
     return psi, gen
 
 
@@ -244,16 +250,40 @@ def resource_from_spec(spec, n: int | None, cost_spec):
     if "amplitudes" in d:
         gen_a = _generator_from_spec(d.get("generatorA"), "generatorA")
         gen_b = _generator_from_spec(d.get("generatorB"), "generatorB")
-        ampl = np.asarray([_complex_entry(v, "amplitude")
-                           for v in _spec_list(d["amplitudes"], "resource amplitudes")])
-        if ampl.size != gen_a.dim * gen_b.dim:
+        psi = _unit_ket(d["amplitudes"], "resource amplitudes")
+        if psi.dim != gen_a.dim * gen_b.dim:
             raise UsageError("resource amplitudes do not match generator dimensions")
-        psi = Ket(ampl)
-        if not psi.is_unit(1e-10):
-            raise UsageError("resource amplitudes must be normalized")
         return psi, gen_a, gen_b
     state = frame_state_from_spec(d, n, cost_spec)
     return expand(state), state.gen_a, state.gen_b
+
+
+class Setting(NamedTuple):
+    """One run setting of the command line and of ``--config`` files."""
+
+    key: str            # config-file key; the flag is "--" + key with "_" -> "-"
+    field: str | None   # RunConfig field; None: a file-only key, checked, then unused
+    kind: str           # "int", "count" (positive), "str", "bool" or "spec" (any JSON)
+    help: str
+    echo: bool = True   # part of the report's config echo
+
+
+SETTINGS = (
+    Setting("seed", "seed", "int", "master RNG seed (u64)"),
+    Setting("trials", "trials", "int", "Monte Carlo trials"),
+    Setting("N", "n", "int", "total level N"),
+    Setting("N_range", "n_range", "str", "inclusive range a..b"),
+    Setting("state", "state", "spec", "state family or spec path (teleport-demo: input ket)"),
+    Setting("cost", "cost", "spec", "variance | likelihood | cost spec path"),
+    Setting("psi0", "psi0", "spec", "input ket name or spec path (witness)"),
+    Setting("oracle", "oracle", "bool", "add the brute-force seed-search value"),
+    Setting("out", "out", "str", "write the report to a file", echo=False),
+    Setting("degrees", "degrees", "bool", "angles in degrees at the boundary"),
+    Setting("json", "json_out", "bool", "JSON report instead of CSV", echo=False),
+    Setting("grid", "grid", "int", "phase grid points (teleport-demo)"),
+    Setting("d", "group_order", "int", "cyclic group order (align)"),
+    Setting("threads", None, "count", "kept for old config files; changes no work", echo=False),
+)
 
 
 @dataclass
@@ -275,17 +305,10 @@ class RunConfig:
     grid: int = 24
     group_order: int | None = None
 
-    _FILE_KEYS = ("seed", "trials", "N", "N_range", "state", "cost", "psi0",
-                  "oracle", "degrees", "json", "out", "grid", "d", "threads")
-
     def echo(self) -> dict:
-        """Stable config echo for report metadata."""
-        keep = {
-            "command": self.command, "seed": self.seed, "trials": self.trials,
-            "N": self.n, "N_range": self.n_range, "state": self.state,
-            "cost": self.cost, "psi0": self.psi0, "oracle": self.oracle,
-            "degrees": self.degrees, "grid": self.grid, "d": self.group_order,
-        }
+        """Stable config echo for report metadata; unset, false and zero values are left out."""
+        keep = {"command": self.command}
+        keep.update((s.key, getattr(self, s.field)) for s in SETTINGS if s.echo)
         return {k: v for k, v in keep.items() if v not in (None, False)}
 
 
@@ -302,17 +325,21 @@ def parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def merge_file_config(args_dict: dict, path: str | None) -> dict:
-    """Overlay config-file values under explicit command-line flags."""
-    if path is None:
-        return args_dict
-    raw = load_json(path)
-    rename = {"N": "n", "N_range": "n_range", "json": "json_out", "d": "group_order"}
-    merged = dict(args_dict)
-    for key, value in raw.items():
-        if key not in RunConfig._FILE_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
-        dest = rename.get(key, key)
-        if merged.get(dest) is None or merged.get(dest) is False:
-            merged[dest] = value
-    return merged
+def run_config(command: str, flags: dict, path: str | None) -> RunConfig:
+    """Settings for one run: ``flags`` by field, and the values of the config
+    file at ``path`` where a flag is unset.  An unknown key or a wrongly typed
+    file value raises UsageError."""
+    doc = load_json(path) if path is not None else {}
+    unknown = [key for key in doc if key not in {s.key for s in SETTINGS}]
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r}")
+    values = {}
+    for s in SETTINGS:
+        value = flags.get(s.field)
+        if (value is None or value is False) and doc.get(s.key) is not None:
+            value = doc[s.key]
+            if s.kind != "spec":   # a spec resolver types its own value
+                value = _typed(value, f"config {s.key}", s.kind)
+        if s.field is not None and value is not None:
+            values[s.field] = value
+    return RunConfig(command, **values)

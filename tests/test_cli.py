@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 import framesync.cli as cli
 from framesync import RandomSource, WitnessReport
 from framesync.cli import ReportTable, main, render_csv, render_json
-from framesync.config import (ALIGN_WORK_CAP, RunConfig, UsageError, cost_from_spec,
-                              frame_state_from_spec, ket_from_spec,
-                              merge_file_config, parse_n_range,
-                              resource_from_spec)
+from framesync.config import (ALIGN_WORK_CAP, SETTINGS, SYNC_WORK_CAP, UsageError,
+                              cost_from_spec, frame_state_from_spec, ket_from_spec,
+                              parse_n_range, resource_from_spec, run_config)
 
 TWO_PI = 2 * math.pi
 
@@ -106,18 +107,70 @@ def test_resource_from_spec_bell_and_raw():
         resource_from_spec({"amplitudes": [[1, 0]]}, None, None)
 
 
-def test_merge_file_config(tmp_path):
+@pytest.mark.parametrize("key", ["bogus", "config", "n", "json_out", "N-range"])
+def test_unknown_config_key_exits_one(capsys, tmp_path, key):
+    # file keys are the flag names with "-" -> "_", never RunConfig field names
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"N": 2, "seed": 9, "trials": 300}))
-    merged = merge_file_config({"command": "cost", "n": 3, "seed": None}, str(path))
-    assert merged["n"] == 3          # flag wins
-    assert merged["seed"] == 9       # file fills the gap
-    assert merged["trials"] == 300
-    path.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(UsageError):
-        merge_file_config({"command": "cost"}, str(path))
-    with pytest.raises(UsageError):
-        merge_file_config({}, str(tmp_path / "missing.json"))
+    path.write_text(json.dumps({"seed": 9, key: 1}))
+    code, out, err = run(capsys, "cost", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == f"frame-sync: error: unknown config key {key!r}\n"
+
+
+_KIND_SAMPLES = {"int": ("3", 3), "count": (None, 2), "str": ("x", "x"), "bool": (None, True),
+                 "spec": ("x", "x")}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_table_setting_is_accepted_by_every_command(tmp_path, command):
+    parser = cli.build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    for s in SETTINGS:
+        flag_value, file_value = _KIND_SAMPLES[s.kind]
+        if s.field is not None:
+            argv = [command, "--" + s.key.replace("_", "-")] + ([flag_value] if flag_value else [])
+            assert getattr(parser.parse_args(argv), s.field) == file_value
+        path = tmp_path / f"{s.key}.json"
+        path.write_text(json.dumps({s.key: file_value}))
+        cfg = run_config(command, {}, str(path))
+        assert cfg.command == command
+        if s.field is not None:
+            assert getattr(cfg, s.field) == file_value
+
+
+# The full config echo of each argv, pinned byte for byte so that replayed
+# reports stay identical: unset, false and zero values are left out, "grid"
+# is on every command, and --out / --json / --config are never echoed.
+@pytest.mark.parametrize("argv, echo", [
+    (["cost"], '{"command": "cost", "grid": 24}'),
+    (["cost", "--N", "5", "--seed", "17", "--oracle"],
+     '{"N": 5, "command": "cost", "grid": 24, "oracle": true, "seed": 17}'),
+    (["cost", "--config", "run.json", "--N", "3"],
+     '{"N": 3, "command": "cost", "grid": 24, "seed": 9, "trials": 300}'),
+    (["teleport-demo", "--grid", "4", "--degrees"],
+     '{"command": "teleport-demo", "degrees": true, "grid": 4}'),
+    (["scaling", "--N-range", "8..10", "--state", "flat", "--cost", "likelihood"],
+     '{"N_range": "8..10", "command": "scaling", "cost": "likelihood", "grid": 24, "state": "flat"}'),
+    (["align", "--d", "3", "--trials", "40", "--seed", "5"],
+     '{"command": "align", "d": 3, "grid": 24, "seed": 5, "trials": 40}'),
+    (["cost", "--config", "inline.json"],
+     '{"command": "cost", "cost": {"qmax": 4, "type": "likelihood"}, "grid": 24, '
+     '"state": {"N": 3, "family": "sine-paper"}}'),
+    (["witness", "--psi0", "zero", "--seed", "0", "--out", "w.csv"],
+     '{"command": "witness", "grid": 24, "psi0": "zero"}'),
+    (["sync-sim", "--N-range", "1..2", "--trials", "200", "--seed", "3", "--config", "off.json"],
+     '{"N_range": "1..2", "command": "sync-sim", "grid": 24, "seed": 3, "trials": 200}'),
+])
+def test_config_echo_is_pinned(capsys, tmp_path, monkeypatch, argv, echo):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"N": 2, "seed": 9, "trials": 300}))
+    (tmp_path / "inline.json").write_text(json.dumps(
+        {"state": {"family": "sine-paper", "N": 3}, "cost": {"type": "likelihood", "qmax": 4}}))
+    (tmp_path / "off.json").write_text(json.dumps({"oracle": False, "json": False, "seed": 8}))
+    code, out, _ = run(capsys, *argv)
+    text = out or (tmp_path / "w.csv").read_text()
+    assert code == 0
+    assert [l for l in text.splitlines() if l.startswith("# config: ")] == [f"# config: {echo}"]
 
 
 # ------------------------------------------------------------ table render
@@ -287,21 +340,6 @@ def test_sync_sim_threads_env_does_not_change_rows(capsys, monkeypatch):
     assert data_rows(base) == data_rows(threaded)
 
 
-def test_sync_sim_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("FRAME_SYNC_THREADS", "lots")
-    code, _, err = run(capsys, "sync-sim", "--N", "2", "--trials", "200")
-    assert code == 1 and "FRAME_SYNC_THREADS" in err
-
-
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_sync_sim_nonpositive_threads_env(capsys, monkeypatch, value):
-    monkeypatch.setenv("FRAME_SYNC_THREADS", value)
-    code, out, err = run(capsys, "sync-sim", "--N", "2", "--trials", "200")
-    assert code == 1 and out == ""
-    assert err.startswith("frame-sync: error:") and "FRAME_SYNC_THREADS" in err
-    assert len(err.strip().splitlines()) == 1
-
-
 @pytest.mark.parametrize("value", ["x", 0, -1, 2.5, True])
 def test_sync_sim_bad_threads_in_config_file(capsys, tmp_path, value):
     path = tmp_path / "threads.json"
@@ -356,6 +394,21 @@ def test_non_string_config_values_exit_one(capsys, tmp_path, command, key, value
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("cost", "oracle", "no"),
+    ("cost", "json", "false"),
+    ("teleport-demo", "degrees", 1),
+    ("cost", "oracle", 0),
+    ("cost", "json", [True]),
+])
+def test_non_boolean_config_values_exit_one(capsys, tmp_path, command, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == f"frame-sync: error: config {key} must be true or false, got {value!r}\n"
+
+
 @pytest.mark.parametrize("doc", ["[1, 2]", "5", "null", '"N"'])
 def test_config_file_must_hold_an_object(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -380,9 +433,31 @@ def test_sync_sim_range_beyond_the_cap_exits_before_any_trial(capsys, monkeypatc
     assert code == 1 and out == "" and "capped at 64" in err
 
 
-# Wrong-typed config values.  `trials` stays below 20 000 because `--trials`
-# has no cap yet: a large count is a long run, not a wrong exit.  Strings hold
-# no "/" so that an `out` value stays inside the temporary directory.
+@pytest.mark.parametrize("argv", [
+    ("--N", "2", "--trials", "1000000000000000"),
+    ("--N", "64", "--trials", str(SYNC_WORK_CAP + 1)),
+    ("--N-range", "1..2", "--trials", str(SYNC_WORK_CAP // 2 + 1)),
+    ("--N-range", "1..64"),   # the default 10 000 trials for each N
+])
+def test_sync_sim_work_beyond_the_cap_exits_before_any_trial(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "monte_carlo_cost", None)   # any trial would raise
+    code, out, err = run(capsys, "sync-sim", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error: sync-sim work") and f"capped at {SYNC_WORK_CAP}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_sync_sim_work_at_the_cap_is_admitted(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "monte_carlo_cost",
+                        lambda state, cost, trials, rng: seen.append(trials) or (0.0, 0.0))
+    code, _, _ = run(capsys, "sync-sim", "--N-range", "1..2", "--trials", str(SYNC_WORK_CAP // 2))
+    assert code == 0 and seen == [SYNC_WORK_CAP // 2] * 2
+
+
+# Wrong-typed config values.  Any `trials` count is drawn: `sync-sim` work is
+# capped, so a large count exits 1.  Strings hold no "/" so that an `out`
+# value stays inside the temporary directory.
 _STRINGS = st.one_of(
     st.text(alphabet=st.characters(exclude_characters="/\\"), max_size=8),
     st.sampled_from(["", "8..12", "1..3", "500..512", "5..2", "0..4", "a..b",
@@ -391,8 +466,7 @@ _CONFIG_VALUES = {
     "N_range": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(st.integers(), max_size=3)),
     "out": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(_STRINGS, max_size=2)),
     "N": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(st.integers(), max_size=3)),
-    "trials": st.one_of(st.none(), _STRINGS, st.integers(max_value=20000),
-                        st.lists(st.integers(), max_size=3)),
+    "trials": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(st.integers(), max_size=3)),
     "seed": st.one_of(st.none(), _STRINGS, st.integers(), st.lists(st.integers(), max_size=3)),
 }
 
@@ -478,6 +552,28 @@ def test_spec_field_shapes_exit_cleanly(kind, value):
     ("--state", {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
                  "sectors": [{"n": 0, "e": 1.0, "lambdas": ["a"]}]},
      "sector 0 lambdas must be a list of numbers"),
+    # JSON values of the wrong kind are refused, never coerced
+    ("--state", {"family": "flat", "N": 4.9}, "state N must be an integer, got 4.9"),
+    ("--state", {"family": "flat", "N": True}, "state N must be an integer, got True"),
+    ("--state", {"family": "flat", "N": "5"}, "state N must be an integer, got '5'"),
+    ("--cost", {"type": "likelihood", "qmax": 2.5}, "likelihood qmax must be an integer"),
+    ("--state", {"family": "single-sector", "N": 2, "level": 1.0},
+     "single-sector level must be an integer"),
+    ("--state", {"N": 1, "generatorA": [[0.5, 1], [1, 1]], "generatorB": _LADDER2,
+                 "sectors": [{"n": 0, "e": 1.0}]}, "generatorA eigenvalue must be an integer"),
+    ("--state", {"N": 1, "generatorA": _LADDER2, "generatorB": [[0, True], [1, 1]],
+                 "sectors": [{"n": 0, "e": 1.0}]}, "generatorB degeneracy must be an integer"),
+    ("--state", {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                 "sectors": [{"n": 0.0, "e": 1.0}]}, "sector n must be an integer"),
+    ("--state", {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                 "sectors": [{"n": 0, "e": True}]}, "sector 0 amplitude must be a number"),
+    ("--state", {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                 "sectors": [{"n": 0, "e": ["1", 0]}]}, "sector 0 amplitude must be a number"),
+    ("--state", {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                 "sectors": [{"n": 0, "e": 1.0, "lambdas": [True]}]},
+     "sector 0 lambdas must be a list of numbers"),
+    ("--cost", {"type": "fourier", "cq": [1.0, False]}, "fourier cq must be a list of numbers"),
+    ("--cost", {"type": "fourier", "cq": [1.0, "-0.5"]}, "fourier cq must be a list of numbers"),
 ])
 def test_spec_inner_fields_exit_one(capsys, tmp_path, flag, spec, message):
     path = tmp_path / "spec.json"
@@ -486,6 +582,28 @@ def test_spec_inner_fields_exit_one(capsys, tmp_path, flag, spec, message):
     assert code == 1 and out == ""
     assert err.startswith("frame-sync: error: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["cost", "--state"], {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                           "sectors": [{"n": 0, "e": 1e200}]}),
+    (["cost", "--state"], {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2,
+                           "sectors": [{"n": 0, "e": [1.7e308, 1.7e308]}]}),
+    (["teleport-demo", "--state"], {"amplitudes": [1e200, 0]}),
+    (["witness", "--state"], {"amplitudes": [[0, 1e200], 0, 0, 0],
+                              "generatorA": _LADDER2, "generatorB": _LADDER2}),
+    (["cost", "--cost"], {"type": "fourier", "cq": [0.0, -1e308, -1e308]}),
+    (["sync-sim", "--trials", "200", "--cost"], {"type": "fourier", "cq": [0.0, -1e200]}),
+])
+def test_huge_spec_values_exit_one_without_a_warning(capsys, tmp_path, argv, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, str(path))
+    assert [str(w.message) for w in seen] == []
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error: ") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("sectors", [
