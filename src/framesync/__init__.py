@@ -12,12 +12,11 @@ from .core import (ATOL, ContractViolation, DensityMatrix, Generator, Ket,
 from .estimation import (CostFunction, EstimateDensity, brute_force_min_cost,
                          estimate_density, likelihood_cost, min_joint_cost,
                          sample_estimate, variance_cost)
-from .protocols import (ConditionalOutcome, FourierOutcome, GroupTable,
-                        SyncProtocol, WitnessReport, alice_measure,
-                        sector_form_residual, fidelity_after_relay,
-                        finite_group_align, frameness, frameness_of_ket,
-                        monte_carlo_cost, no_go_witness, si_teleport,
-                        teleport_with_mismatch)
+from .protocols import (ConditionalOutcome, GroupTable, SyncProtocol,
+                        WitnessReport, alice_measure, sector_form_residual,
+                        fidelity_after_relay, finite_group_align, frameness,
+                        frameness_of_ket, monte_carlo_cost, no_go_witness,
+                        si_teleport, teleport_with_mismatch)
 from .states import (BipartiteFrameState, NotInvariantState, SchmidtSector,
                      expand, flat_state, optimal_frameness_state,
                      sector_magnitudes, sine_state, single_sector_state)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, GRID_CAP, SETTINGS,
-                     SYNC_WORK_CAP, RunConfig, UsageError, cost_from_spec, cost_label,
-                     frame_state_from_spec, ket_from_spec, parse_n_range,
-                     resource_from_spec, run_config)
+                     SYNC_WORK_CAP, RunConfig, UsageError, cost_dict, cost_from_spec,
+                     cost_label, frame_state_from_spec, ket_from_spec, parse_n_range,
+                     resource_from_spec, run_config, state_dict)
 from .core import ContractViolation, RandomSource, fidelity
 from .estimation import brute_force_min_cost, min_joint_cost
 from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
@@ -106,9 +106,10 @@ def _state_label(cfg: RunConfig) -> str:
 
 def cmd_cost(cfg: RunConfig) -> ReportTable:
     """Optimal joint cost and frameness of a resource state."""
+    cost_spec = cost_dict(cfg.cost)
     state = frame_state_from_spec(cfg.state, cfg.n if cfg.n is not None else 4,
-                                  cfg.cost, n_cap=COST_N_CAP)
-    cost = cost_from_spec(cfg.cost, state.total)
+                                  cost_spec, n_cap=COST_N_CAP)
+    cost = cost_from_spec(cost_spec, state.total)
     value = min_joint_cost(state.magnitudes(), cost)
 
     columns = ["state", "N", "cost_type", "min_cost", "frameness"]
@@ -116,7 +117,7 @@ def cmd_cost(cfg: RunConfig) -> ReportTable:
         columns += ["oracle_cost", "oracle_gap"]
     table = ReportTable(columns)
 
-    row = [_state_label(cfg), state.total, cost_label(cfg.cost), value,
+    row = [_state_label(cfg), state.total, cost_label(cost_spec), value,
            frameness(state, cost)]
     if cfg.oracle:
         oracle = brute_force_min_cost(state.amps, cost,
@@ -142,13 +143,15 @@ def cmd_scaling(cfg: RunConfig) -> ReportTable:
     families = (cfg.state if isinstance(cfg.state, str) else None) or "flat,sine-paper,optimal"
     family_list = [f.strip() for f in families.split(",") if f.strip()]
 
+    cost_spec = cost_dict(cfg.cost)
     table = ReportTable(["family", "N", "min_cost"])
     slopes = []
     for family in family_list:
+        state_spec = state_dict(family)
         points = []
         for n in range(lo, hi + 1):
-            state = frame_state_from_spec(family, n, cfg.cost, n_cap=COST_N_CAP)
-            cost = cost_from_spec(cfg.cost, n)
+            state = frame_state_from_spec(state_spec, n, cost_spec, n_cap=COST_N_CAP)
+            cost = cost_from_spec(cost_spec, n)
             value = min_joint_cost(state.magnitudes(), cost)
             table.add(family, n, value)
             points.append((n, value))
@@ -184,9 +187,10 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
          "sector_form_residual"])
     root = RandomSource(cfg.seed)
     worst_z = 0.0
+    state_spec, cost_spec = state_dict(cfg.state), cost_dict(cfg.cost)
     for n in n_values:
-        state = frame_state_from_spec(cfg.state, n, cfg.cost)
-        cost = cost_from_spec(cfg.cost, state.total)
+        state = frame_state_from_spec(state_spec, n, cost_spec)
+        cost = cost_from_spec(cost_spec, state.total)
         analytic = min_joint_cost(state.magnitudes(), cost)
         mean, sem = monte_carlo_cost(state, cost, trials, root.split(n))
         z = (mean - analytic) / sem if sem > 0 else 0.0

@@ -33,6 +33,7 @@ FAMILIES = ("flat", "sine-paper", "optimal", "single-sector")
 
 COST_N_CAP = 512   # profile-only commands
 DEMO_N_CAP = 64    # anything that expands a full statevector
+GENERATOR_DIM_CAP = 8 * (DEMO_N_CAP + 1)   # basis slots of one spec-file generator
 GRID_CAP = 4096    # teleport-demo phase grid points
 ALIGN_WORK_CAP = 1 << 17   # align attempts d * trials, about 8 s at d = 64
 SYNC_WORK_CAP = 1 << 19    # sync-sim trials * N values, about 11 s at N = 64
@@ -116,15 +117,23 @@ def _unit_ket(values, what: str) -> Ket:
     return psi
 
 
-def _cost_dict(spec) -> dict:
+def cost_dict(spec) -> dict:
+    """A cost spec as a dict: a cost name, a path read once, or the dict itself."""
     if spec in (None, "variance", "likelihood"):
         return {"type": spec or "variance"}
     return _as_spec_dict(spec, "cost")
 
 
+def state_dict(spec) -> dict:
+    """A frame-state spec as a dict: a family name, a path read once, or the dict itself."""
+    if spec is None or isinstance(spec, str) and spec in FAMILIES:
+        return {"family": spec or "flat"}
+    return _as_spec_dict(spec, "state")
+
+
 def cost_from_spec(spec, state_n: int | None = None) -> CostFunction:
     """Resolve a cost spec; likelihood truncation defaults to the state's N."""
-    d = _cost_dict(spec)
+    d = cost_dict(spec)
     kind = d.get("type", "fourier" if "cq" in d else None)
     if kind == "variance":
         return variance_cost()
@@ -142,7 +151,7 @@ def cost_from_spec(spec, state_n: int | None = None) -> CostFunction:
 
 
 def cost_label(spec) -> str:
-    return str(_cost_dict(spec).get("type", "fourier"))
+    return str(cost_dict(spec).get("type", "fourier"))
 
 
 def _generator_from_spec(pairs, what: str) -> Generator:
@@ -152,19 +161,18 @@ def _generator_from_spec(pairs, what: str) -> Generator:
     levels = tuple((_typed(n, f"{what} eigenvalue"), _typed(d, f"{what} degeneracy"))
                    for n, d in pairs)
     try:
-        return Generator(levels)
+        gen = Generator(levels)
     except ContractViolation as exc:
         raise UsageError(f"bad {what}: {exc}")
+    if gen.dim > GENERATOR_DIM_CAP:
+        raise UsageError(f"{what} dimension {gen.dim} exceeds the cap of {GENERATOR_DIM_CAP}")
+    return gen
 
 
 def frame_state_from_spec(spec, n: int | None, cost_spec,
                           n_cap: int = DEMO_N_CAP) -> BipartiteFrameState:
     """Resolve a frame-state spec (family name, path, or dict)."""
-    if spec is None:
-        spec = "flat"
-    if isinstance(spec, str) and spec in FAMILIES:
-        spec = {"family": spec}
-    d = _as_spec_dict(spec, "state")
+    d = state_dict(spec)
 
     if "family" in d:
         family = d["family"]

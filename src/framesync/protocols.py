@@ -1,11 +1,12 @@
 """Two-party protocols on top of the estimation layer.
 
 One-way synchronization: Alice measures her half of a shared resource state
-in a Fourier-type family, tells Bob the outcome, and Bob runs the optimal
-covariant estimation on his collapsed half.  Every outcome leaves Bob with
-the same amplitude-magnitude profile as the shared state, so one round of
-classical communication already attains the joint optimum; that equality is
-the point of the whole construction and is what the Monte Carlo here checks.
+in the Fourier basis of her own space, tells Bob the outcome, and Bob runs
+the optimal covariant estimation on his collapsed half.  Every outcome
+leaves Bob with the same amplitude-magnitude profile as the shared state, so
+one round of classical communication already attains the joint optimum; that
+equality is the point of the whole construction and is what the Monte Carlo
+here checks.
 
 Also: two teleportation demos (coefficients survive classical relay, states
 do not), an algebraic witness for why no protocol can do better, and exact
@@ -34,62 +35,24 @@ SUPPORT_ATOL = 1e-12   # amplitude threshold for level supports
 TRIAL_BLOCK = 1024     # Monte Carlo trials per derived RNG stream
 
 
-@dataclass(frozen=True)
-class FourierOutcome:
-    """Label of one Alice outcome: Fourier index k plus one degeneracy
-    pick j_n per level, as ((level, j), ...) sorted by level."""
-
-    k: int
-    j: tuple
-
-    def j_map(self) -> dict:
-        return dict(self.j)
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionalOutcome:
-    outcome: FourierOutcome
+    k: int
     probability: float
     bob_state: Ket
-
-
-def _fourier_family(g: Generator):
-    """All (outcome label, vector) pairs of Alice's Fourier measurement.
-
-    The vectors combine one discrete-Fourier pick j per degenerate level with
-    a Fourier transform across levels; the transform size is max level + 1 so
-    level differences never alias.  Slot (n, l) of outcome (k, picks) holds
-    exp(2 pi i (k n / size + j_n l / d_n)) / sqrt(size * patterns), so the
-    rank-one elements resolve the identity, as a measurement needs once
-    levels are degenerate.  Outcomes run over k, then over the picks in
-    ``itertools.product`` order.
-    """
-    if g.min_level < 0:
-        raise ContractViolation("Fourier family needs nonnegative levels")
-    size = g.max_level + 1
-    eigs = [n for n, _ in g.levels]
-    degs = [d for _, d in g.levels]
-    patterns = list(itertools.product(*[range(1, d + 1) for d in degs]))
-    outcomes = [FourierOutcome(k, tuple(zip(eigs, pattern)))
-                for k in range(size) for pattern in patterns]
-
-    # per basis slot: level n, degeneracy d, 1-based label l, pick j per pattern
-    n, d = g.eigenvalues(), np.repeat(degs, degs)
-    ls = np.arange(g.dim) - np.repeat(np.cumsum(degs) - degs, degs) + 1
-    j = np.array(patterns)[:, np.repeat(np.arange(len(degs)), degs)]
-    k = np.arange(size)[:, None, None]
-    phase = np.exp(2j * np.pi * (k * n / size + j * ls / d))
-    vectors = phase.reshape(-1, g.dim) / math.sqrt(size * len(patterns))
-    return outcomes, vectors
 
 
 def alice_measure(state: BipartiteFrameState) -> tuple:
     """Deterministic enumeration of Alice's outcomes on the shared state.
 
-    Returns every outcome with its probability and Bob's collapsed state.
-    Probabilities are uniform by construction and sum to one.  The tuple is
-    cached per state, so a sync run and its residual check share one
-    enumeration.
+    Alice measures in the orthonormal d_A-point Fourier basis of her own
+    space: outcome k is the row exp(2 pi i k a / d_A) / sqrt(d_A) over her
+    basis slots a.  Each row has magnitude 1/sqrt(d_A) on every slot, so it
+    scales every sector by the same 1/sqrt(d_A): each outcome has
+    probability 1/d_A and leaves Bob with the profile |e_n|, also under
+    degeneracy.  Returns every outcome with its probability and Bob's
+    collapsed state.  The tuple is cached per state, so a sync run and its
+    residual check share one enumeration.
     """
     return _alice_outcomes(state)
 
@@ -97,43 +60,39 @@ def alice_measure(state: BipartiteFrameState) -> tuple:
 @functools.lru_cache(maxsize=8)
 def _alice_outcomes(state: BipartiteFrameState) -> tuple:
     psi = expand(state).amplitudes.reshape(state.gen_a.dim, state.gen_b.dim)
-    outcomes, vectors = _fourier_family(state.gen_a)
-    cond = vectors.conj() @ psi          # outcome x Bob dimension
+    cond = np.fft.fft(psi, axis=0, norm="ortho")   # row k: Bob's unnormalized state
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
-    return tuple(ConditionalOutcome(label, float(p), Ket(row / math.sqrt(p)))
-                 for label, row, p in zip(outcomes, cond, probs) if p > 0.0)
+    return tuple(ConditionalOutcome(k, float(p), Ket(row / math.sqrt(p)))
+                 for k, (row, p) in enumerate(zip(cond, probs)))
 
 
 def sector_form_residual(state: BipartiteFrameState) -> float:
     """Self-check: distance of each collapsed state from its sector form.
 
-    Every Alice outcome should leave Bob in (a global phase times)
-    sum_n e_n w^{k n} sum_l lam_{n,l} u^{-j l} |n, l>, with w the across-level
-    and u the within-level Fourier phases.  Returns the worst global-phase-
-    aligned distance over all outcomes; anything above ~1e-12 means the
-    measurement and the sector bookkeeping disagree.
+    Every Alice outcome k should leave Bob in (a global phase times)
+    sum_n e_n sum_l lam_{n,l} exp(-2 pi i k s_{n,l} / d_A) |n, l>, with
+    s_{n,l} Alice's basis slot paired with Bob's slot (n, l).  Returns the
+    worst global-phase-aligned distance over all outcomes; anything above
+    ~1e-12 means the measurement and the sector bookkeeping disagree.
 
-    The prediction comes from the sector data and the outcome labels alone,
-    never from the measurement vectors, as one outcome x slot broadcast.
+    The prediction comes from the sector data and the outcome index alone,
+    never from the measurement, as one outcome x slot broadcast.
     """
     ga, gb = state.gen_a, state.gen_b
     items = alice_measure(state)
-    # Bob's populated slots: sector n, 1-based Schmidt label l, lam_{n,l}
+    # populated slot pairs: sector n, 0-based Schmidt label l, lam_{n,l}
     secs = [sec for sec in state.sectors if state.amps[sec.level] != 0.0]
     rank = [sec.rank for sec in secs]
     n = np.repeat([sec.level for sec in secs], rank)
     lam = np.concatenate([sec.lam for sec in secs])
-    l = np.arange(n.size) - np.repeat(np.cumsum(rank) - rank, rank) + 1
-    slots = np.searchsorted(gb.eigenvalues(), n) + l - 1
-    # outcome x slot: Fourier index k and the pick j on Alice's level N - n
-    a_level = state.total - n
-    k = np.array([item.outcome.k for item in items])[:, None]
-    picks = np.array([[j for _, j in item.outcome.j] for item in items])
-    j = picks[:, np.searchsorted([a for a, _ in ga.levels], a_level)]
+    l = np.arange(n.size) - np.repeat(np.cumsum(rank) - rank, rank)
+    slots = np.searchsorted(gb.eigenvalues(), n) + l
+    s = np.searchsorted(ga.eigenvalues(), state.total - n) + l
+    k = np.array([item.k for item in items])[:, None]
 
     predicted = np.zeros((len(items), gb.dim), dtype=complex)
-    predicted[:, slots] = (state.amps[n] * lam * np.exp(2j * np.pi * k * n / (ga.max_level + 1))
-                           * np.exp(-2j * np.pi * j * l / ga.degeneracies(a_level)))
+    # k s mod d_A keeps the phase argument below 2 pi, so it rounds like the FFT's
+    predicted[:, slots] = state.amps[n] * lam * np.exp(-2j * np.pi * (k * s % ga.dim) / ga.dim)
     predicted /= np.linalg.norm(predicted, axis=1, keepdims=True)
     bob = np.array([item.bob_state.amplitudes for item in items])
     align = np.exp(1j * np.angle(np.sum(predicted.conj() * bob, axis=1)))   # 1 at zero overlap

@@ -98,23 +98,20 @@ def test_criterion_04_degenerate_conditional_states():
             n_tot = int(gen.integers(1, 5))
             state = random_frame_state(gen, n_tot, max_deg=3)
             ga, gb = state.gen_a, state.gen_b
-            size = ga.max_level + 1
             joint = min_joint_cost(state.magnitudes(), cost)
             outs = alice_measure(state)
             assert abs(sum(o.probability for o in outs) - 1.0) <= 1e-10
             for item in outs:
-                picks = item.outcome.j_map()
                 predicted = np.zeros(gb.dim, dtype=complex)
                 for n in range(n_tot + 1):
                     sec = state.sector(n)
-                    d_a = ga.degeneracy(n_tot - n)
+                    sa = ga.level_slice(n_tot - n)
                     sb = gb.level_slice(n)
-                    for l, lam in enumerate(sec.lam, start=1):
-                        predicted[sb.start + l - 1] = (
+                    for l, lam in enumerate(sec.lam):
+                        predicted[sb.start + l] = (
                             state.amps[n]
-                            * np.exp(2j * np.pi * item.outcome.k * n / size)
                             * lam
-                            * np.exp(-2j * np.pi * picks[n_tot - n] * l / d_a))
+                            * np.exp(-2j * np.pi * item.k * (sa.start + l) / ga.dim))
                 predicted /= np.linalg.norm(predicted)
                 overlap = np.vdot(predicted, item.bob_state.amplitudes)
                 aligned = predicted * (overlap / abs(overlap))

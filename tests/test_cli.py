@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import framesync.cli as cli
+import framesync.config as config
 from framesync import RandomSource, WitnessReport
 from framesync.cli import ReportTable, main, render_csv, render_json
-from framesync.config import (ALIGN_WORK_CAP, SETTINGS, SYNC_WORK_CAP, UsageError,
-                              cost_from_spec, frame_state_from_spec, ket_from_spec,
-                              parse_n_range, resource_from_spec, run_config)
+from framesync.config import (ALIGN_WORK_CAP, GENERATOR_DIM_CAP, SETTINGS, SYNC_WORK_CAP,
+                              UsageError, cost_from_spec, frame_state_from_spec,
+                              ket_from_spec, parse_n_range, resource_from_spec, run_config)
 
 TWO_PI = 2 * math.pi
 
@@ -502,6 +503,24 @@ _FIELD_VALUES = st.one_of(
     st.dictionaries(_STRINGS, st.integers(), max_size=2))
 _LADDER2 = [[0, 1], [1, 1]]
 
+# Generator pairs: any shapes, unsorted or negative eigenvalues, odd and huge
+# degeneracies, and many sorted levels from 0 that often make a valid state.
+_DEGENERACIES = st.sampled_from([0, -1, 1.5, True, "2", 10**5, 10**12, 2**63])
+
+
+def _levels(eigs, degs):
+    return [[n, d] for n, d in zip(sorted(eigs), degs)]
+
+
+_GENERATOR_VALUES = st.one_of(
+    st.lists(st.lists(st.one_of(st.integers(-3, 60), st.integers(), _DEGENERACIES),
+                      min_size=2, max_size=2), max_size=40),
+    st.builds(_levels, st.lists(st.integers(-2, 80), unique=True, min_size=1, max_size=80),
+              st.lists(st.one_of(st.integers(1, 4), _DEGENERACIES), min_size=80, max_size=80)),
+    st.builds(_levels, st.lists(st.integers(2, 80), unique=True, max_size=78).map(
+        lambda eigs: [0, 1, *eigs]), st.lists(st.integers(1, 8), min_size=80, max_size=80)))
+_MANY_DEGENERATE_LEVELS = [[n, 3] for n in range(12)]
+
 
 def _field_spec(kind, value):
     if kind == "qmax":
@@ -512,6 +531,14 @@ def _field_spec(kind, value):
         return ["cost", "--state"], {"family": "single-sector", "N": 3, kind: value}
     if kind == "amplitudes":
         return ["teleport-demo", "--grid", "4", "--state"], {"amplitudes": value}
+    if kind == "generator":
+        return ["witness", "--psi0"], {"amplitudes": [1.0, 0.0], "generator": value}
+    if kind in ("generatorA", "generatorB"):
+        # sector 0 pairs Alice's level 1 with Bob's level 0
+        argv = ["sync-sim", "--trials", "200", "--state"] if kind == "generatorA" else [
+            "witness", "--state"]
+        return argv, {"N": 1, "generatorA": _LADDER2, "generatorB": _LADDER2, kind: value,
+                      "sectors": [{"n": 0, "e": 1.0}]}
     sector = {"n": 0, "e": 1.0, kind: value}
     if kind in ("n", "e"):
         sector = {"n": 0, "e": 1.0, "lambdas": [1.0], kind: value}
@@ -519,15 +546,18 @@ def _field_spec(kind, value):
                                  "sectors": value if kind == "sectors" else [sector]}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(kind=st.sampled_from(["qmax", "cq", "N", "level", "n", "e", "lambdas", "sectors",
-                             "amplitudes"]),
-       value=_FIELD_VALUES)
+                             "amplitudes", "generatorA", "generatorB", "generator"]),
+       value=st.one_of(_FIELD_VALUES, _GENERATOR_VALUES))
 @example(kind="qmax", value="x")
 @example(kind="N", value="x")
 @example(kind="lambdas", value=["a"])
 @example(kind="qmax", value=10**12)
 @example(kind="e", value=[1, 10**400])
+@example(kind="generatorA", value=[[0, 1], [1, 10**12]])
+@example(kind="generatorB", value=[[0, 10**12], [1, 1]])
+@example(kind="generatorA", value=_MANY_DEGENERATE_LEVELS)
 def test_spec_field_shapes_exit_cleanly(kind, value):
     argv, spec = _field_spec(kind, value)
     out, err = io.StringIO(), io.StringIO()
@@ -650,6 +680,81 @@ def test_sync_sim_from_degenerate_spec_file(capsys, tmp_path):
     assert code == 0
     _, rows = data_rows(out)
     assert float(rows[0][6]) < 1e-12
+
+
+def _degenerate_spec(levels, deg):
+    """Flat sector amplitudes over ``levels`` levels of degeneracy ``deg`` on
+    both sides, every sector at full rank with equal Schmidt coefficients."""
+    gen = [[n, deg] for n in range(levels)]
+    return {"N": levels - 1, "generatorA": gen, "generatorB": gen,
+            "sectors": [{"n": n, "e": levels ** -0.5, "lambdas": [deg ** -0.5] * deg}
+                        for n in range(levels)]}
+
+
+@pytest.mark.parametrize("levels", [10, 12])
+def test_sync_sim_on_many_degenerate_levels_is_quick(capsys, tmp_path, levels):
+    path = tmp_path / "deg.json"
+    path.write_text(json.dumps(_degenerate_spec(levels, 3)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sync-sim", "--state", str(path), "--trials", "1000")
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    _, rows = data_rows(out)
+    assert float(rows[0][6]) < 1e-12
+    assert elapsed < 5.0
+
+
+# Expanding this state would need 10^12 x 2 amplitudes; the generator cap refuses it first.
+_HUGE_GENERATORS = {"N": 1, "generatorA": [[0, 1], [1, 10**12]],
+                    "generatorB": [[0, 10**12], [1, 1]], "sectors": [{"n": 0, "e": 1.0}]}
+
+
+@pytest.mark.parametrize("argv, spec, message", [
+    (["witness", "--state"], _HUGE_GENERATORS, "generatorA dimension 1000000000001 exceeds"),
+    (["cost", "--state"], {**_HUGE_GENERATORS, "generatorA": _LADDER2},
+     "generatorB dimension 1000000000001 exceeds"),
+    (["cost", "--state"], {"N": 1, "generatorA": [[0, 1], [1, GENERATOR_DIM_CAP]],
+                           "generatorB": _LADDER2, "sectors": [{"n": 0, "e": 1.0}]},
+     f"generatorA dimension {GENERATOR_DIM_CAP + 1} exceeds the cap of {GENERATOR_DIM_CAP}"),
+    (["witness", "--psi0"], {"amplitudes": [1.0, 0.0], "generator": [[0, 1], [1, 10**5]]},
+     "generator dimension 100001 exceeds"),
+])
+def test_spec_generators_over_the_cap_exit_one(capsys, tmp_path, argv, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("frame-sync: error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_spec_generators_at_the_cap_are_admitted(capsys, tmp_path):
+    spec = {"N": 1, "generatorA": [[0, 1], [1, GENERATOR_DIM_CAP - 1]],
+            "generatorB": [[0, GENERATOR_DIM_CAP - 1], [1, 1]], "sectors": [{"n": 0, "e": 1.0}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "sync-sim", "--state", str(path), "--trials", "200")
+    assert code == 0
+    _, rows = data_rows(out)
+    assert float(rows[0][6]) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--state", "optimal", "--cost", "c.json", "--N-range", "8..20"],
+    ["sync-sim", "--state", "s.json", "--N-range", "1..10", "--cost", "c.json",
+     "--trials", "200"],
+    ["cost", "--state", "s.json", "--cost", "c.json"],
+])
+def test_spec_files_are_read_once_per_run(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"type": "likelihood", "qmax": 6}))
+    (tmp_path / "s.json").write_text(json.dumps({"family": "optimal"}))
+    reads = []
+    load = config.load_json
+    monkeypatch.setattr(config, "load_json", lambda path: (reads.append(path), load(path))[1])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(reads) == sorted(a for a in argv if a.endswith(".json"))
 
 
 def test_teleport_demo_curve_and_average(capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framesync import (BipartiteFrameState, ConditionalOutcome,
-                       ContractViolation, DensityMatrix, FourierOutcome,
-                       Generator, GroupTable, Ket, RandomSource, SchmidtSector,
+                       ContractViolation, DensityMatrix, Generator,
+                       GroupTable, Ket, RandomSource, SchmidtSector,
                        SyncProtocol, alice_measure, basis_ket,
                        sector_form_residual, fidelity, fidelity_after_relay,
                        finite_group_align, flat_state, frameness,
@@ -17,7 +16,7 @@ from framesync import (BipartiteFrameState, ConditionalOutcome,
                        teleport_with_mismatch, tensor, variance_cost)
 import framesync.protocols as protocols
 from framesync.cli import main
-from framesync.protocols import _fourier_family, _rank_one_commutator_norm
+from framesync.protocols import _rank_one_commutator_norm
 from conftest import level_preserving_unitary, random_frame_state
 
 TWO_PI = 2 * math.pi
@@ -26,71 +25,31 @@ seeds = st.integers(0, 2**32 - 1)
 
 # --------------------------------------------------- Fourier measurement
 
-def test_fourier_basis_nondegenerate_is_orthonormal_dft():
-    g = Generator.ladder(5)
-    outcomes, b = _fourier_family(g)
-    assert len(outcomes) == 5 and b.shape == (5, 5)
-    np.testing.assert_allclose(b.conj() @ b.T, np.eye(5), atol=1e-12)
-    # k = 0 row is uniform up to the within-level phase convention
-    np.testing.assert_allclose(np.abs(b[0]), np.full(5, 1 / math.sqrt(5)), atol=1e-12)
-    # and row k is the DFT row exp(2 pi i k n / 5), up to that convention
-    dft = np.exp(2j * np.pi * np.outer(range(5), range(5)) / 5) / math.sqrt(5)
-    np.testing.assert_allclose(b / b[0], dft / dft[0], atol=1e-12)
+def _dft_outcomes_by_loop(state):
+    """Loop reference of _alice_outcomes: one Fourier row of Alice's space at
+    a time, projected onto the shared state."""
+    d_a = state.gen_a.dim
+    psi = expand(state).amplitudes.reshape(d_a, state.gen_b.dim)
+    outcomes = []
+    for k in range(d_a):
+        row = np.array([np.exp(2j * np.pi * k * a / d_a) for a in range(d_a)]) / math.sqrt(d_a)
+        cond = row.conj() @ psi
+        p = float(np.vdot(cond, cond).real)
+        outcomes.append((k, p, cond / math.sqrt(p)))
+    return outcomes
 
 
-@pytest.mark.parametrize("levels", [
-    ((0, 2), (1, 1)),
-    ((0, 2), (1, 3), (2, 2)),
-    ((0, 1), (2, 1)),          # spectral gap: more outcomes than dimensions
-    ((1, 2), (3, 2)),
-])
-def test_fourier_povm_family_resolves_identity(levels):
-    g = Generator(levels)
-    _, vectors = _fourier_family(g)
-    gram = vectors.conj().T @ vectors   # sum over outcomes of |v><v|, transposed
-    np.testing.assert_allclose(gram.T, np.eye(g.dim), atol=1e-12)
-
-
-def _fourier_family_by_outcome(g):
-    """Loop reference of _fourier_family: one outcome, level and slot at a time."""
-    size = g.max_level + 1
-    degs = [d for _, d in g.levels]
-    n_patterns = int(np.prod(degs))
-    outcomes, rows = [], []
-    for k in range(size):
-        for pattern in itertools.product(*[range(1, d + 1) for d in degs]):
-            v = np.zeros(g.dim, dtype=complex)
-            off = 0
-            for (n, d), j in zip(g.levels, pattern):
-                ls = np.arange(1, d + 1)
-                phase = np.exp(2j * np.pi * (k * n / size + j * ls / d))
-                v[off:off + d] = phase / math.sqrt(size * n_patterns)
-                off += d
-            outcomes.append(FourierOutcome(k, tuple((n, j) for (n, _), j in zip(g.levels, pattern))))
-            rows.append(v)
-    return outcomes, np.array(rows)
-
-
-@pytest.mark.parametrize("levels", [
-    ((0, 1),),
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((0, 2), (1, 1), (3, 2)),
-    ((1, 3), (2, 1), (4, 2)),
-    ((0, 2), (1, 3), (2, 2), (5, 1)),
-])
-def test_fourier_family_matches_the_loop_reference(levels):
-    g = Generator(levels)
-    outcomes, vectors = _fourier_family(g)
-    want_outcomes, want = _fourier_family_by_outcome(g)
-    assert len(outcomes) == (g.max_level + 1) * int(np.prod([d for _, d in levels]))
-    assert outcomes == want_outcomes          # labels in (k, picks) order
-    assert all(type(j) is int for o in outcomes for _, j in o.j)
-    np.testing.assert_array_equal(vectors, want)
-
-
-def test_fourier_family_rejects_negative_levels():
-    with pytest.raises(ContractViolation):
-        _fourier_family(Generator(((-1, 1), (0, 1))))
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, n_tot=st.integers(1, 4), max_deg=st.integers(1, 3))
+def test_alice_outcomes_match_the_dft_loop_reference(seed, n_tot, max_deg):
+    state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
+    protocols._alice_outcomes.cache_clear()
+    got = protocols._alice_outcomes(state)
+    want = _dft_outcomes_by_loop(state)
+    assert [item.k for item in got] == [k for k, _, _ in want]
+    for item, (_, p, bob) in zip(got, want):
+        assert item.probability == pytest.approx(p, abs=1e-12)
+        np.testing.assert_allclose(item.bob_state.amplitudes, bob, atol=1e-12)
 
 
 def test_alice_measure_shared_pair_frozen():
@@ -100,7 +59,7 @@ def test_alice_measure_shared_pair_frozen():
     minus = ket([1.0, -1.0]).normalized()
     for item in outs:
         assert item.probability == pytest.approx(0.5, abs=1e-12)
-        want = plus if item.outcome.k == 0 else minus
+        want = plus if item.k == 0 else minus
         assert abs(item.bob_state.inner(want)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -109,10 +68,11 @@ def test_alice_measure_shared_pair_frozen():
 def test_alice_measure_uniform_probabilities(seed, n_tot, max_deg):
     state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
     outs = alice_measure(state)
-    total = sum(o.probability for o in outs)
-    assert total == pytest.approx(1.0, abs=1e-10)
-    ps = {round(o.probability, 14) for o in outs}
-    assert len(ps) == 1   # uniform by construction
+    d_a = state.gen_a.dim
+    assert len(outs) == d_a
+    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
+    for o in outs:   # uniform by construction
+        assert o.probability == pytest.approx(1 / d_a, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,25 +95,21 @@ def test_collapsed_states_match_sector_form(seed, n_tot, max_deg):
 
 
 def _residual_by_outcome(state, items):
-    """Loop reference of sector_form_residual, one outcome and sector at a time."""
+    """Loop reference of sector_form_residual, one outcome and Schmidt pair at
+    a time: Bob's slot (n, l) carries e_n lam_{n,l} exp(-2 pi i k s / d_A),
+    with s Alice's slot paired with it."""
     ga, gb = state.gen_a, state.gen_b
-    size = ga.max_level + 1
     worst = 0.0
     for item in items:
         predicted = np.zeros(gb.dim, dtype=complex)
-        picks = item.outcome.j_map()
         for n in range(state.total + 1):
             sec = state.sector(n)
             if sec is None or state.amps[n] == 0.0:
                 continue
-            a_level = state.total - n
-            d_a = ga.degeneracy(a_level)
-            sb = gb.level_slice(n)
-            ls = np.arange(1, sec.rank + 1)
-            phases = np.exp(-2j * np.pi * picks[a_level] * ls / d_a)
-            predicted[sb.start:sb.start + sec.rank] = (
-                state.amps[n] * np.exp(2j * np.pi * item.outcome.k * n / size)
-                * np.array(sec.lam) * phases)
+            sa, sb = ga.level_slice(state.total - n), gb.level_slice(n)
+            for l, lam in enumerate(sec.lam):
+                phase = np.exp(-2j * np.pi * item.k * (sa.start + l) / ga.dim)
+                predicted[sb.start + l] = state.amps[n] * lam * phase
         predicted /= np.linalg.norm(predicted)
         overlap = np.vdot(predicted, item.bob_state.amplitudes)
         align = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
@@ -169,7 +125,7 @@ def test_sector_form_residual_matches_the_per_outcome_loop(seed, n_tot, max_deg)
     assert sector_form_residual(state) == pytest.approx(
         _residual_by_outcome(state, items), abs=1e-12)
     # Bob's states handed to the wrong outcomes: a large residual, the same in both
-    shifted = tuple(ConditionalOutcome(a.outcome, a.probability, b.bob_state)
+    shifted = tuple(ConditionalOutcome(a.k, a.probability, b.bob_state)
                     for a, b in zip(items, items[1:] + items[:1]))
     want = _residual_by_outcome(state, shifted)
     original = protocols.alice_measure
@@ -209,7 +165,7 @@ def test_sync_trial_replays_and_stays_in_range():
     src = RandomSource(4, (2,))
     a = SyncProtocol(state).trial(1.2, src)
     b = SyncProtocol(state).trial(1.2, src)
-    assert a[0] == b[0] and a[1].outcome == b[1].outcome
+    assert a[0] == b[0] and a[1].k == b[1].k
     assert 0.0 <= a[0] < TWO_PI
 
 
@@ -243,13 +199,11 @@ def test_monte_carlo_cost_runs_one_protocol_trial_per_trial(monkeypatch):
 
 
 def test_sync_sim_enumerates_alice_outcomes_once_per_n(monkeypatch, capsys):
-    calls = []
-    family = protocols._fourier_family
-    monkeypatch.setattr(protocols, "_fourier_family",
-                        lambda g: (calls.append(g.dim), family(g))[1])
+    protocols._alice_outcomes.cache_clear()
     assert main(["sync-sim", "--N-range", "2..4", "--trials", "200"]) == 0
     capsys.readouterr()
-    assert calls == [3, 4, 5]
+    info = protocols._alice_outcomes.cache_info()
+    assert (info.misses, info.hits) == (3, 3)   # one evaluation per N, reused by the residual
 
 
 def test_monte_carlo_cost_coverage_over_many_seeds():

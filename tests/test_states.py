@@ -161,7 +161,7 @@ def test_frame_state_validation():
         BipartiteFrameState(2, g, g, amps,
                             (SchmidtSector(0, (0.6, 0.8)),) + ok[1:])
     neg = Generator(((-1, 1), (0, 1), (1, 1)))
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="nonnegative levels"):
         BipartiteFrameState(2, neg, g, amps, ok)
 
 
