@@ -140,7 +140,9 @@ def cmd_scaling(cfg: RunConfig) -> ReportTable:
     lo, hi = parse_n_range(cfg.n_range or "8..256")
     if hi > COST_N_CAP:
         raise UsageError(f"N range capped at {COST_N_CAP}")
-    families = (cfg.state if isinstance(cfg.state, str) else None) or "flat,sine-paper,optimal"
+    if cfg.state is not None and not isinstance(cfg.state, str):
+        raise UsageError("scaling takes comma-separated family names (a string) in state")
+    families = cfg.state or "flat,sine-paper,optimal"
     family_list = [f.strip() for f in families.split(",") if f.strip()]
 
     cost_spec = cost_dict(cfg.cost)

@@ -168,8 +168,13 @@ def sine_state(n_tot: int) -> BipartiteFrameState:
     """Fixed half-period sine amplitude profile over the N+1 sectors.
 
     e_n = sin(pi (n + 1/2) / (N + 1)) * sqrt(2 / (N + 1)).  Exactly normalized
-    for every N.  Note this fixed profile is not the cost minimizer for N >= 2;
-    see :func:`optimal_frameness_state` for the true argmin.
+    for every N.  Note this fixed profile is not the cost minimizer for N >= 2.
+    The variance-cost optimum is the shifted sine
+    sqrt(2 / (N + 2)) sin(pi (n + 1) / (N + 2)) of Buzek, Derka & Massar
+    (PRL 82, 2207 (1999); also Berry & Wiseman, PRL 85, 5098 (2000)), and the
+    likelihood-cost optimum (q_max >= N) is the flat profile.
+    :func:`optimal_frameness_state` returns both in closed form; its
+    eigensolve serves only other costs.
     """
     if n_tot < 1:
         raise ContractViolation("sine state needs total level >= 1")
@@ -193,9 +198,21 @@ def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameSta
 
     The optimum over unit nonnegative profiles of
     c_0 + sum_q c_q sum_n e_n e_{n+q} is the leading eigenvector of the
-    symmetric Toeplitz matrix M with M[n, n+q] = -c_q / 2.
+    symmetric Toeplitz matrix M with M[n, n+q] = band[q] = -c_q / 2.
 
-    The eigenproblem is solved on the symmetric half only.  M commutes with
+    Two bands have a closed form, and no eigensolve runs for them:
+
+    * tridiagonal (band[1] > 0, the rest zero; the variance cost or any
+      c_1-only cost): e_n = sqrt(2 / (N + 2)) sin(pi (n + 1) / (N + 2)), the
+      optimal phase state of Buzek, Derka & Massar (PRL 82, 2207 (1999); also
+      Berry & Wiseman, PRL 85, 5098 (2000)), at cost c_0 + c_1 cos(pi / (N + 2));
+    * constant (band[1:] equal and positive; the likelihood cost with
+      q_max >= N): M is a multiple of (all ones - identity), so the optimum is
+      the flat profile 1/sqrt(N + 1), at cost c_0 + c_1 N / 2.
+
+    Both are the unique Perron vectors of an irreducible nonnegative band.
+
+    Every other band is solved on the symmetric half of M.  M commutes with
     the reversal J, so its eigenspaces split into symmetric (Jv = v) and
     antisymmetric parts.  M has nonnegative entries, so its top eigenspace
     holds a nonnegative v (Perron-Frobenius); then v + Jv is nonnegative,
@@ -210,9 +227,15 @@ def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameSta
     band = np.zeros(dim)
     cq = np.asarray(cost.cq[:dim - 1])
     band[1:cq.size + 1] = -0.5 * cq
+    if band[1] > 0.0 and not band[2:].any():           # tridiagonal
+        n = np.arange(1, dim + 1)
+        amps = math.sqrt(2.0 / (dim + 1)) * np.sin(np.pi * n / (dim + 1))
+        return _nondegenerate_state(n_tot, amps)
+    if band[1] > 0.0 and (band[1:] == band[1]).all():   # constant: the flat profile
+        return _nondegenerate_state(n_tot, np.full(dim, 1.0 / math.sqrt(dim)))
+
     idx = np.arange(dim)
     m = band[np.abs(idx[:, None] - idx)]
-
     half, k = dim // 2, dim - dim // 2
     r = m[:k, :k] + m[:k, ::-1][:, :k]
     if k > half:               # odd dim: the middle entry appears once in v

@@ -10,6 +10,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import framesync.estimation
+import framesync.states
 from framesync import (GroupTable, RandomSource, alice_measure,
                        brute_force_min_cost, estimate_density, expand,
                        fidelity, finite_group_align, flat_state, frameness,
@@ -54,6 +56,23 @@ def test_criterion_01_brute_force_oracle_matches_formula():
             got = brute_force_min_cost(e, cost, method="descent",
                                        rng=RandomSource(55))
             assert abs(got - want) <= 1e-3
+
+
+def test_criterion_01_oracle_is_independent_of_the_closed_forms(monkeypatch):
+    with criterion("seed-search oracle without closed forms or eigensolves", 30):
+        cases = [(variance_cost(), 8, 2 - 2 * math.cos(math.pi / 10)),
+                 (likelihood_cost(13), 13, -14 / TWO_PI)]
+        states = [(optimal_frameness_state(n, cost), cost, want) for cost, n, want in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached the closed form or an eigensolve")
+
+        monkeypatch.setattr(framesync.states, "optimal_frameness_state", refuse)
+        monkeypatch.setattr(framesync.estimation, "min_joint_cost", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for state, cost, want in states:
+            got = brute_force_min_cost(state.amps, cost, rng=RandomSource(55))
+            assert want - 1e-12 <= got <= want + 1e-3
 
 
 def test_criterion_02_heisenberg_vs_linear_scaling():

@@ -306,6 +306,47 @@ def test_scaling_optimal_approaches_quadratic(capsys):
     assert -2.05 < slope < -1.7
 
 
+@pytest.mark.parametrize("state", [{"family": "flat", "N": 3}, ["flat"], 3])
+def test_scaling_state_from_a_config_file_must_be_names(capsys, tmp_path, state):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": state, "N_range": "8..9"}))
+    code, out, err = run(capsys, "scaling", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("frame-sync: error: scaling takes comma-separated family names "
+                   "(a string) in state\n")
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+@pytest.mark.parametrize("cost", ["variance", "likelihood"])
+def test_scaling_named_costs_run_no_eigensolve(capsys, monkeypatch, cost):
+    calls = _count_eigh(monkeypatch)
+    code, out, _ = run(capsys, "scaling", "--state", "flat,sine-paper,optimal",
+                       "--N-range", "496..512", "--cost", cost)
+    assert code == 0 and len(data_rows(out)[1]) == 3 * 18
+    assert calls == []
+
+
+def test_scaling_other_bands_solve_once_per_n(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps({"type": "likelihood", "qmax": 3}))
+    calls = _count_eigh(monkeypatch)
+    code, _, _ = run(capsys, "scaling", "--state", "flat,sine-paper,optimal",
+                     "--N-range", "496..512", "--cost", str(path))
+    assert code == 0
+    assert calls == [((n + 2) // 2, (n + 2) // 2) for n in range(496, 513)]
+
+
 def test_sync_sim_single_n(capsys):
     code, out, _ = run(capsys, "sync-sim", "--N", "2", "--trials", "500",
                        "--seed", "7")

@@ -7,6 +7,7 @@ from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
                        flat_state, ket, likelihood_cost, min_joint_cost,
                        sector_magnitudes, sine_state, single_sector_state,
                        tensor, optimal_frameness_state, variance_cost)
+from framesync.config import cost_from_spec
 from conftest import level_preserving_unitary, random_frame_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -71,9 +72,31 @@ def test_optimal_state_differs_from_fixed_sine_profile():
 def _toeplitz_cost_matrix(dim, cost):
     """M[n, n+q] = -c_q / 2, one band at a time."""
     m = np.zeros((dim, dim))
+    rows = np.arange(dim)
     for q, c in enumerate(cost.cq[:dim - 1], start=1):
-        m += np.diag(np.full(dim - q, -0.5 * c), q) + np.diag(np.full(dim - q, -0.5 * c), -q)
+        m[rows[:-q], rows[q:]] = m[rows[q:], rows[:-q]] = -0.5 * c
     return m
+
+
+def test_closed_forms_match_a_full_eigh():
+    # the variance cost has a tridiagonal band, likelihood(N) a constant one
+    for n_tot in range(1, 513):
+        for cost, want in ((variance_cost(), 2 - 2 * np.cos(np.pi / (n_tot + 2))),
+                           (likelihood_cost(n_tot), -(n_tot + 1) / (2 * np.pi))):
+            _, vecs = np.linalg.eigh(_toeplitz_cost_matrix(n_tot + 1, cost))
+            got = optimal_frameness_state(n_tot, cost).magnitudes()
+            np.testing.assert_allclose(got, np.abs(vecs[:, -1]), rtol=0, atol=1e-12)
+            assert abs(min_joint_cost(got, cost) - want) <= 1e-12
+
+
+def test_c1_only_spec_cost_takes_the_sine_form(monkeypatch):
+    cost = cost_from_spec({"cq": [1, -3]})
+    monkeypatch.setattr(np.linalg, "eigh", None)   # the closed form needs no solve
+    for n_tot in (1, 2, 9, 100):
+        got = optimal_frameness_state(n_tot, cost).magnitudes()
+        want = np.sin(np.pi * np.arange(1, n_tot + 2) / (n_tot + 2))
+        np.testing.assert_allclose(got, want / np.linalg.norm(want), rtol=0, atol=1e-12)
+        assert abs(min_joint_cost(got, cost) - (1 - 3 * np.cos(np.pi / (n_tot + 2)))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +113,8 @@ def test_optimal_state_half_solve_matches_full_eigh(seed, dim):
 
 @pytest.mark.parametrize("n_tot", [1, 3, 5, 8, 17, 40])
 def test_optimal_state_half_solve_both_parities_and_costs(n_tot):
-    for cost in (variance_cost(), likelihood_cost(n_tot)):
+    # bands without a closed form once N > 3: likelihood with q_max < N, and c_1 + c_2
+    for cost in (likelihood_cost(max(1, n_tot // 2)), CostFunction(0.5, (-1.0, -0.25))):
         vals, vecs = np.linalg.eigh(_toeplitz_cost_matrix(n_tot + 1, cost))
         got = optimal_frameness_state(n_tot, cost).magnitudes()
         np.testing.assert_allclose(got, np.abs(vecs[:, -1]), atol=1e-10)
@@ -121,7 +145,9 @@ def test_optimal_state_never_solves_at_full_dimension(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     for n_tot in (1, 2, 7, 64, 511, 512):
-        optimal_frameness_state(n_tot, variance_cost())
+        # at N = 1 only c_1 is kept; it is zero here, so that band has no closed form
+        c1 = 0.0 if n_tot == 1 else -1.0
+        optimal_frameness_state(n_tot, CostFunction(1.0, (c1, -0.5)))
     assert shapes == [(k, k) for k in (1, 2, 4, 33, 256, 257)]
 
 
