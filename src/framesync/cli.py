@@ -24,13 +24,12 @@ from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, GRID_CAP, SETTINGS,
                      cost_label, frame_state_from_spec, ket_from_spec, parse_n_range,
                      resource_from_spec, run_config, state_dict)
 from .core import ContractViolation, RandomSource, fidelity
-from .estimation import brute_force_min_cost, min_joint_cost
+from .estimation import TWO_PI, brute_force_min_cost, min_joint_cost
 from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
                         finite_group_align, frameness, monte_carlo_cost,
                         no_go_witness, teleport_with_mismatch)
 from .states import optimal_frameness_state
 
-TWO_PI = 2.0 * math.pi
 TELEPORT_CHUNK = 1 << 17   # density-matrix entries per teleport_with_mismatch call
 
 
@@ -142,8 +141,10 @@ def cmd_scaling(cfg: RunConfig) -> ReportTable:
         raise UsageError(f"N range capped at {COST_N_CAP}")
     if cfg.state is not None and not isinstance(cfg.state, str):
         raise UsageError("scaling takes comma-separated family names (a string) in state")
-    families = cfg.state or "flat,sine-paper,optimal"
+    families = "flat,sine-paper,optimal" if cfg.state is None else cfg.state
     family_list = [f.strip() for f in families.split(",") if f.strip()]
+    if not family_list:
+        raise UsageError(f"scaling needs at least one state family, got {families!r}")
 
     cost_spec = cost_dict(cfg.cost)
     table = ReportTable(["family", "N", "min_cost"])
@@ -217,7 +218,7 @@ def cmd_teleport_demo(cfg: RunConfig) -> ReportTable:
     phis = TWO_PI * np.arange(points) / points
     step = max(1, TELEPORT_CHUNK // psi.dim ** 2)
     ui = np.concatenate([
-        fidelity(teleport_with_mismatch(psi, phis[start:start + step], resource_dim=psi.dim), psi)
+        fidelity(teleport_with_mismatch(psi, phis[start:start + step]), psi)
         for start in range(0, points, step)]).tolist()
     si = fidelity_after_relay(psi.amplitudes, phis).tolist()
     for phi, ui_phi, si_phi in zip(phis.tolist(), ui, si):
@@ -240,7 +241,7 @@ def cmd_witness(cfg: RunConfig) -> ReportTable:
     table.add("l_max", report.l_max)
     table.add("invariance_residual", report.invariance_residual)
     table.add("input_ui_norm", report.input_ui_norm)
-    if not report.passes(1e-10):
+    if not report.passes():
         table.notes.append(
             f"self-check failed: top component residual {report.invariance_residual:.3e}")
         table.exit_code = 2

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContractViolation, Generator, Ket
+from .core import NORM_ATOL, ContractViolation, Generator, Ket
 from .estimation import CostFunction, likelihood_cost, variance_cost
 from .states import (BipartiteFrameState, SchmidtSector, expand, flat_state,
                      optimal_frameness_state, sine_state, single_sector_state)
@@ -38,7 +38,6 @@ GRID_CAP = 4096    # teleport-demo phase grid points
 ALIGN_WORK_CAP = 1 << 17   # align attempts d * trials, about 8 s at d = 64
 SYNC_WORK_CAP = 1 << 19    # sync-sim trials * N values, about 11 s at N = 64
 COST_COEFF_CAP = 1e100     # keeps every cost, its square and a sum over trials finite
-NORM_ATOL = 1e-10          # normalization of spec-file kets, and so each amplitude's bound
 
 
 class UsageError(ValueError):
@@ -96,7 +95,8 @@ def _numbers(values, what: str) -> tuple:
 
 
 def _amplitude(value, what: str) -> complex:
-    # Every amplitude belongs to a normalized state; the bound also keeps its square finite.
+    # Every amplitude belongs to a normalized state, so NORM_ATOL bounds it too;
+    # the bound also keeps its square finite.
     pair = value if isinstance(value, list) else [value, 0]
     try:
         c = complex(*_numbers(pair, what)) if len(pair) == 2 else math.nan

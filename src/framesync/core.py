@@ -11,17 +11,17 @@ array positions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-ATOL = 1e-12          # structural tolerance: norms, unitarity, idempotence
-MEASURE_ATOL = 1e-10  # orthonormality / completeness gate for measurements
+ATOL = 1e-12       # structural tolerance: norms, unitarity, idempotence
+NORM_ATOL = 1e-10  # unit-norm gate on input states and profiles (a NaN fails it too)
 
 
 class ContractViolation(ValueError):
-    """An input breaks a documented precondition (bad basis, bad norm, ...)."""
+    """An input breaks a documented precondition (bad norm, bad dimension, ...)."""
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -54,8 +54,8 @@ class Ket:
     def is_unit(self, atol: float = ATOL) -> bool:
         return abs(self.norm() - 1.0) <= atol
 
-    def require_unit(self, atol: float = MEASURE_ATOL, what: str = "state") -> "Ket":
-        if abs(self.norm() - 1.0) > atol:
+    def require_unit(self, what: str = "state") -> "Ket":
+        if abs(self.norm() - 1.0) > NORM_ATOL:
             raise ContractViolation(f"{what} must be normalized, got norm {self.norm():.6g}")
         return self
 
@@ -258,60 +258,24 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _basis_matrix(basis: Sequence[Ket]) -> np.ndarray:
-    dims = {b.dim for b in basis}
-    if len(dims) != 1:
-        raise ContractViolation("measurement basis vectors must share one dimension")
-    return np.vstack([b.amplitudes for b in basis])
+def measure(state: Ket, dim: int, rng: RngLike):
+    """Computational-basis measurement of the leading tensor factor.
 
-
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Complete orthonormal basis of a measured factor, checked once when built.
-
-    ``measure`` takes one in place of a sequence of Kets and then skips the
-    per-call stacking and orthonormality check, which dominate repeated
-    measurements in a small basis.
-    """
-
-    vectors: tuple
-    bras: np.ndarray = field(init=False, repr=False)   # conjugated rows
-
-    def __post_init__(self):
-        B = _basis_matrix(self.vectors)
-        d_meas = B.shape[1]
-        if B.shape[0] != d_meas:
-            raise ContractViolation(
-                f"basis must be complete on the measured factor: got {B.shape[0]} vectors in dimension {d_meas}")
-        if np.abs(B.conj() @ B.T - np.eye(d_meas)).max() > MEASURE_ATOL:
-            raise ContractViolation("measurement basis is not orthonormal within 1e-10")
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        object.__setattr__(self, "bras", _frozen_array(B.conj(), complex))
-
-
-def measure(state: Ket, basis: Sequence[Ket] | MeasurementBasis, rng: RngLike):
-    """Projective measurement of the leading tensor factor.
-
-    The measured factor's dimension is the dimension of the basis vectors;
-    the state dimension must be a multiple of it.  Returns
-    (outcome index, posterior Ket of the unmeasured factors, probability).
-    For a complete measurement the posterior is the trivial 1-d ket.
-    A sequence of Kets is checked on every call, a MeasurementBasis once.
+    The measured factor has dimension ``dim``; the state dimension must be a
+    multiple of it.  Returns (outcome index, posterior Ket of the unmeasured
+    factors, probability).  For a complete measurement the posterior is the
+    trivial 1-d ket.
     """
     state.require_unit()
-    if not isinstance(basis, MeasurementBasis):
-        basis = MeasurementBasis(basis)
-    bras = basis.bras
-    d_meas = bras.shape[0]
-    if state.dim % d_meas != 0:
+    if dim < 1 or state.dim % dim != 0:
         raise ContractViolation(
-            f"state dimension {state.dim} is not a multiple of the measured dimension {d_meas}")
+            f"state dimension {state.dim} is not a multiple of the measured dimension {dim}")
 
-    cond = bras @ state.amplitudes.reshape(d_meas, -1)   # outcome x rest
+    cond = state.amplitudes.reshape(dim, -1)   # outcome x rest
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
     u = as_generator(rng).random()
     k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    k = min(k, d_meas - 1)
+    k = min(k, dim - 1)
     p = float(probs[k])
     if p <= 0.0:
         # can only happen by numerical accident at the cumsum edge

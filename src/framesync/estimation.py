@@ -22,11 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ContractViolation, RandomSource, RngLike, as_generator
+from .core import NORM_ATOL, ContractViolation, RandomSource, RngLike, as_generator
 
 TWO_PI = 2.0 * math.pi
 
-NORM_ATOL = 1e-10      # input normalization gate (a NaN fails it too)
+GRID_POINTS = 360   # oracle grid points per free phase
+RESTARTS = 8        # oracle descent restarts
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def _grid_search(c0, h, grid_points):
     return float(vals[k]), np.concatenate(([0.0], theta[:, k]))
 
 
-def _coordinate_descent(c0, h, restarts, rng):
+def _coordinate_descent(c0, h, rng):
     """Cyclic exact line search from random restarts.
 
     Restricted to one coordinate theta_n, the objective collapses to the
@@ -217,7 +218,7 @@ def _coordinate_descent(c0, h, restarts, rng):
     sym = h + h.conj().T
     best_val = math.inf
     best = np.zeros(n_levels)
-    for _ in range(max(1, restarts)):
+    for _ in range(RESTARTS):
         theta = np.concatenate(([0.0], gen.uniform(0.0, TWO_PI, size=n_levels - 1)))
         u = np.exp(1j * theta)
         current = c0 + (u.conj() @ (h @ u)).real
@@ -238,28 +239,16 @@ def _coordinate_descent(c0, h, restarts, rng):
     return best_val, best
 
 
-def brute_force_min_cost(e, cost: CostFunction, grid_points: int = 360, *,
-                         method: str = "auto", restarts: int = 8,
-                         rng: RngLike | None = None) -> float:
+def brute_force_min_cost(e, cost: CostFunction, *, rng: RngLike | None = None) -> float:
     """Search covariant rank-one seeds for the minimum average cost.
 
-    ``method`` is "grid" (exhaustive on ``grid_points`` per phase, at most 2
-    free phases), "descent" (coordinate descent with exact line search from
-    random restarts), or "auto" (grid up to 2 free phases, descent beyond).
+    Up to 2 free phases the search is exhaustive on ``GRID_POINTS`` per
+    phase; beyond, it is coordinate descent with exact line search from
+    ``RESTARTS`` random starts drawn from ``rng`` (default ``RandomSource(0)``).
     Returns the best value found.
     """
     free = _magnitudes(e).size - 1  # validates normalization
     c0, h = _seed_weights(e, cost)
-    if grid_points < 4:
-        raise ContractViolation("grid needs at least 4 points per phase")
-
-    if method == "auto":
-        method = "grid" if free <= 2 else "descent"
-    if method == "grid":
-        if free > 2:
-            raise ContractViolation("grid method supports at most 2 free phases")
-        return _grid_search(c0, h, grid_points)[0]
-    if method == "descent":
-        return _coordinate_descent(
-            c0, h, restarts, rng if rng is not None else RandomSource(0))[0]
-    raise ContractViolation(f"unknown method {method!r}")
+    if free <= 2:
+        return _grid_search(c0, h, GRID_POINTS)[0]
+    return _coordinate_descent(c0, h, rng if rng is not None else RandomSource(0))[0]

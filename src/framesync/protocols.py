@@ -23,16 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ContractViolation, DensityMatrix, Generator, Ket,
-                   MeasurementBasis, RandomSource, RngLike, _checked_densities,
-                   as_generator, basis_ket, measure, tensor)
-from .estimation import (CostFunction, EstimateDensity, estimate_density,
+                   RandomSource, RngLike, _checked_densities, as_generator,
+                   measure, tensor)
+from .estimation import (TWO_PI, CostFunction, EstimateDensity, estimate_density,
                          min_joint_cost, sample_estimate)
 from .states import BipartiteFrameState, expand, sector_magnitudes
 
-TWO_PI = 2.0 * math.pi
-
 SUPPORT_ATOL = 1e-12   # amplitude threshold for level supports
 TRIAL_BLOCK = 1024     # Monte Carlo trials per derived RNG stream
+UI_PHI_POINTS = 256    # phase grid of the witness's distance from phase invariance
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,11 +206,11 @@ def fidelity_after_relay(alpha, phi):
     return fidelities if fidelities.ndim else float(fidelities)
 
 
-def teleport_with_mismatch(input_state: Ket, phi, resource_dim: int = 2):
+def teleport_with_mismatch(input_state: Ket, phi):
     """Teleportation with Bob's corrections expressed in his own frame.
 
-    Standard protocol over a maximally entangled resource (a qubit pair by
-    default), except each correction C = X^a Z^b becomes U_phi C U_phi^dagger
+    Standard protocol over the maximally entangled pair of the input's
+    dimension d, except each correction C = X^a Z^b becomes U_phi C U_phi^dagger
     because Bob's reference differs from Alice's by the phase offset
     (U_phi = exp(-i phi G), G = diag(0..d-1)).  Returns the outcome-averaged
     output state; exact, no sampling.
@@ -229,9 +228,6 @@ def teleport_with_mismatch(input_state: Ket, phi, resource_dim: int = 2):
     """
     psi = input_state.require_unit(what="input state")
     d = psi.dim
-    if d != resource_dim:
-        raise ContractViolation(
-            f"input dimension {d} does not match the entangled resource dimension {resource_dim}")
     a = psi.amplitudes
     lag = (np.arange(d) - np.arange(d)[:, None]) / d           # (j - i) / d
     theta = d * _phases(phi)[..., None, None]
@@ -251,8 +247,9 @@ class WitnessReport:
     invariance_residual: float    # commutator norm of the top component
     input_ui_norm: float          # how far the input is from phase-invariant
 
-    def passes(self, atol: float = 1e-10) -> bool:
-        return self.invariance_residual <= atol
+    def passes(self) -> bool:
+        """The top component commutes with Bob's generator within 1e-10."""
+        return self.invariance_residual <= 1e-10
 
 
 def _rank_one_commutator_norm(v: np.ndarray, diag: np.ndarray) -> float:
@@ -268,8 +265,7 @@ def _rank_one_commutator_norm(v: np.ndarray, diag: np.ndarray) -> float:
 
 
 def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
-                  gen_a: Generator, gen_b: Generator, *,
-                  phi_points: int = 256) -> WitnessReport:
+                  gen_a: Generator, gen_b: Generator) -> WitnessReport:
     """Decompose (input x resource) by level difference and test the blocker.
 
     Any protocol consuming the resource and classical messages only can be
@@ -279,7 +275,7 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
     commutes with Bob's generator; an input that is not phase-invariant
     therefore cannot be reproduced on Bob's side.  The report carries the
     commutator residual (should vanish) and the input's distance from phase
-    invariance (should not).
+    invariance (should not), the largest over ``UI_PHI_POINTS`` phases.
 
     The weights are one ``bincount``; the top component is rank one against a
     diagonal G_B, so ``_rank_one_commutator_norm`` gives its residual.
@@ -313,7 +309,7 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
     top = np.where(diff == l_max, joint, 0.0)
     invariance_residual = _rank_one_commutator_norm(top, level_b)
 
-    grid = np.arange(phi_points) * (TWO_PI / phi_points)
+    grid = np.arange(UI_PHI_POINTS) * (TWO_PI / UI_PHI_POINTS)
     shifted = np.exp(-1j * np.outer(grid, eig_s)) * psi0.amplitudes[None, :]
     input_ui_norm = float(np.linalg.norm(shifted - psi0.amplitudes[None, :], axis=1).max())
 
@@ -373,11 +369,6 @@ class GroupTable:
         return self.table[a].index(self.identity)
 
 
-@functools.lru_cache(maxsize=64)
-def _element_basis(d: int) -> MeasurementBasis:
-    return MeasurementBasis(tuple(basis_ket(d, h) for h in range(d)))
-
-
 @functools.lru_cache(maxsize=256)
 def _correlated_state(row: tuple) -> Ket:
     """Uniform pair sum_h |h>|row[h]> / sqrt(d), keyed on the group's row of
@@ -392,8 +383,9 @@ def finite_group_align(group: GroupTable, mismatch: int, rng: RngLike) -> int:
     """Recover a finite-group frame mismatch exactly from one shared pair.
 
     The parties share the uniform correlated state over group elements; Alice
-    measures in her element basis, Bob in his (offset by the mismatch), and
-    the estimate (Bob's outcome) * (Alice's outcome)^-1 is exact every time.
+    measures in her element basis (the computational one), Bob in his (offset
+    by the mismatch), and the estimate (Bob's outcome) * (Alice's outcome)^-1
+    is exact every time.
     """
     d = group.order
     if not 0 <= mismatch < d:
@@ -401,8 +393,7 @@ def finite_group_align(group: GroupTable, mismatch: int, rng: RngLike) -> int:
     gen = as_generator(rng)
 
     state = _correlated_state(group.table[mismatch])
-    element_basis = _element_basis(d)
-    a_out, posterior, _ = measure(state, element_basis, gen)
-    b_out, _, _ = measure(posterior, element_basis, gen)
+    a_out, posterior, _ = measure(state, d, gen)
+    b_out, _, _ = measure(posterior, d, gen)
     return group.mul(b_out, group.inverse(a_out))
 

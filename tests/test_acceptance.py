@@ -48,13 +48,12 @@ def test_criterion_01_brute_force_oracle_matches_formula():
         for _ in range(10):
             e = random_unit(gen, 3)
             want = min_joint_cost(e, cost)
-            got = brute_force_min_cost(e, cost, grid_points=360, method="grid")
+            got = brute_force_min_cost(e, cost)
             assert abs(got - want) <= 1e-3
         for _ in range(5):
             e = random_unit(gen, 4)
             want = min_joint_cost(e, cost)
-            got = brute_force_min_cost(e, cost, method="descent",
-                                       rng=RandomSource(55))
+            got = brute_force_min_cost(e, cost, rng=RandomSource(55))
             assert abs(got - want) <= 1e-3
 
 

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import framesync.cli as cli
 import framesync.config as config
 from framesync import RandomSource, WitnessReport
-from framesync.cli import ReportTable, main, render_csv, render_json
-from framesync.config import (ALIGN_WORK_CAP, GENERATOR_DIM_CAP, SETTINGS, SYNC_WORK_CAP,
+from framesync.cli import COMMANDS, ReportTable, main, render_csv, render_json
+from framesync.config import (ALIGN_WORK_CAP, FAMILIES, GENERATOR_DIM_CAP, SETTINGS, SYNC_WORK_CAP,
                               UsageError, cost_from_spec, frame_state_from_spec,
                               ket_from_spec, parse_n_range, resource_from_spec, run_config)
 
@@ -316,6 +316,17 @@ def test_scaling_state_from_a_config_file_must_be_names(capsys, tmp_path, state)
                    "(a string) in state\n")
 
 
+def test_scaling_without_a_family_exits_one(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    for state in (" , ", ",", ""):
+        path.write_text(json.dumps({"state": state}))
+        for argv in (["--state", state], ["--config", str(path)]):
+            code, out, err = run(capsys, "scaling", "--N-range", "2..3", *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("frame-sync: error: scaling needs at least one state family")
+            assert len(err.splitlines()) == 1
+
+
 def _count_eigh(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -533,6 +544,52 @@ def test_config_value_shapes_exit_cleanly(command, config):
         assert err.getvalue().startswith("frame-sync: ")
         assert len(err.getvalue().strip().splitlines()) == 1
     assert elapsed < 20.0, (config, elapsed)
+
+
+# Command lines: every flag of SETTINGS omitted or given a drawn value.  A
+# drawn `--trials` stays under 2000 or exceeds every work cap, so that no
+# example runs a long Monte Carlo or alignment.
+_ARGV_VALUES = st.one_of(
+    st.integers(-3, 70).map(str), st.integers(max_value=-1).map(str),
+    st.integers(2**63, 2**70).map(str), _STRINGS,
+    st.sampled_from([*FAMILIES, "variance", "likelihood", "plus", "zero", "one", "bell"]))
+
+
+def _quick_trials(text):
+    try:
+        return not 2000 <= int(text) <= SYNC_WORK_CAP
+    except ValueError:
+        return True
+
+
+_FLAG_VALUES = {
+    s.key: st.booleans() if s.kind == "bool"
+    else _ARGV_VALUES.filter(_quick_trials) if s.key == "trials" else _ARGV_VALUES
+    for s in SETTINGS if s.field is not None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)),
+       flags=st.fixed_dictionaries({}, optional=_FLAG_VALUES))
+@example(command="scaling", flags={"state": " , ", "N_range": "1..3"})
+@example(command="align", flags={"trials": str(2**63), "d": "64"})
+def test_argv_shapes_exit_cleanly(command, flags):
+    argv = [command]
+    for key, value in flags.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [] if value is False else [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("frame-sync: ")
+        assert len(err.getvalue().strip().splitlines()) == 1
+    assert elapsed < 20.0, (argv, elapsed)
 
 
 # Wrong-typed inner fields of spec files: a cost spec, a family state spec, an

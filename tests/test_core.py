@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from framesync import (ContractViolation, DensityMatrix, Generator, Ket,
                        RandomSource, as_generator, basis_ket, fidelity, ket,
                        measure, tensor)
-from framesync.core import MeasurementBasis, _checked_densities
+from framesync.core import _checked_densities
 
 RT2 = np.sqrt(2.0)
 
@@ -199,11 +201,10 @@ def test_as_generator_accepts_both_kinds():
 
 def test_measure_complete_basis_frozen_probs():
     state = ket([0.6, 0.8j])
-    basis = [basis_ket(2, 0), basis_ket(2, 1)]
     counts = np.zeros(2)
     gen = np.random.default_rng(11)
     for _ in range(200):
-        k, post, p = measure(state, basis, gen)
+        k, post, p = measure(state, 2, gen)
         counts[k] += 1
         assert post.dim == 1 and post.is_unit()
         assert p == pytest.approx(0.36 if k == 0 else 0.64, abs=1e-12)
@@ -211,16 +212,19 @@ def test_measure_complete_basis_frozen_probs():
 
 
 def test_measure_leading_factor_posterior():
-    # (|01> + |10>)/sqrt(2), first qubit measured in the +/- basis:
-    # both outcomes have p = 1/2 and leave the second qubit in the
-    # matching +/- state (up to a global sign).
+    # (|01> + |10>)/sqrt(2) with H on the first qubit, which is then measured:
+    # that is a +/- measurement of the Bell pair, so both outcomes have
+    # p = 1/2 and leave the second qubit in the matching +/- state (up to a
+    # global sign).
     bell = ket([0.0, 1.0, 1.0, 0.0]).normalized()
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / RT2
+    rotated = Ket(tensor(hadamard, np.eye(2)) @ bell.amplitudes)
     plus = ket([1.0, 1.0]).normalized()
     minus = ket([1.0, -1.0]).normalized()
     gen = np.random.default_rng(5)
     seen = set()
     for _ in range(40):
-        k, post, p = measure(bell, [plus, minus], gen)
+        k, post, p = measure(rotated, 2, gen)
         seen.add(k)
         assert p == pytest.approx(0.5, abs=1e-12)
         expected = plus if k == 0 else minus
@@ -231,36 +235,55 @@ def test_measure_leading_factor_posterior():
 def test_measure_born_frequencies():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     state = ket(np.sqrt(probs) * np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))
-    basis = MeasurementBasis([basis_ket(4, i) for i in range(4)])   # checked once
     trials = 100_000
     gen = RandomSource(2024).generator()
     counts = np.zeros(4)
     for _ in range(trials):
-        k, _, _ = measure(state, basis, gen)
+        k, _, _ = measure(state, 4, gen)
         counts[k] += 1
     freq = counts / trials
     sigma = np.sqrt(probs * (1 - probs) / trials)
     np.testing.assert_array_less(np.abs(freq - probs), 4 * sigma)
 
 
+def test_measure_matches_the_projector_reference():
+    # Born rule term by term: outcome k has projector |k><k| x I, and the
+    # first k whose running probability passes the uniform draw is picked.
+    for (dim, rest), seed in itertools.product([(2, 1), (3, 4), (5, 2), (4, 3)], range(10)):
+        gen = np.random.default_rng(seed)
+        psi = ket(gen.normal(size=dim * rest) + 1j * gen.normal(size=dim * rest)).normalized()
+        k, post, p = measure(psi, dim, RandomSource(seed).generator())
+
+        u = RandomSource(seed).generator().random()   # the twin of measure's draw
+        running, want = 0.0, None
+        for j in range(dim):
+            projector = tensor(basis_ket(dim, j).outer(), np.eye(rest))
+            p_j = float(np.vdot(psi.amplitudes, projector @ psi.amplitudes).real)
+            running += p_j
+            if want is None and running > u:
+                want = j, p_j, (basis_ket(dim, j).amplitudes.conj()
+                                @ psi.amplitudes.reshape(dim, rest)) / np.sqrt(p_j)
+        want_k, want_p, want_post = want
+        assert k == want_k
+        assert p == pytest.approx(want_p, abs=1e-12)
+        np.testing.assert_allclose(post.amplitudes, want_post, atol=1e-12)
+
+
 def test_measure_validates_inputs():
     gen = np.random.default_rng(0)
     with pytest.raises(ContractViolation):
-        measure(ket([1.0, 1.0]), [basis_ket(2, 0), basis_ket(2, 1)], gen)   # norm
+        measure(ket([1.0, 1.0]), 2, gen)   # norm
     with pytest.raises(ContractViolation):
-        measure(basis_ket(2, 0), [basis_ket(2, 0), ket([1.0, 1.0]).normalized()], gen)
+        measure(basis_ket(3, 0), 2, gen)   # 3 % 2
     with pytest.raises(ContractViolation):
-        measure(basis_ket(3, 0), [basis_ket(3, 0), basis_ket(3, 1)], gen)   # incomplete
-    with pytest.raises(ContractViolation):
-        measure(basis_ket(3, 0), [basis_ket(2, 0), basis_ket(2, 1)], gen)   # 3 % 2
+        measure(basis_ket(3, 0), 0, gen)
 
 
 def test_measure_replays_under_random_source():
     state = ket([0.5, 0.5, 0.5, 0.5])
-    basis = [basis_ket(2, 0), basis_ket(2, 1)]
     src = RandomSource(99, (4,))
-    first = [measure(state, basis, src.split(i)) for i in range(20)]
-    second = [measure(state, basis, src.split(i)) for i in range(20)]
+    first = [measure(state, 2, src.split(i)) for i in range(20)]
+    second = [measure(state, 2, src.split(i)) for i in range(20)]
     for (k1, v1, p1), (k2, v2, p2) in zip(first, second):
         assert k1 == k2 and p1 == p2
         np.testing.assert_array_equal(v1.amplitudes, v2.amplitudes)
@@ -284,19 +307,3 @@ def test_fidelity_of_state_with_itself(seed):
     a = gen.normal(size=5) + 1j * gen.normal(size=5)
     v = ket(a).normalized()
     assert fidelity(DensityMatrix.pure(v), v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_checked_basis_measures_like_the_ket_list():
-    state = ket([0.5, 0.5j, -0.5, 0.5])
-    kets = [ket([1.0, 1.0]).normalized(), ket([1.0, -1.0]).normalized()]
-    checked = MeasurementBasis(tuple(kets))
-    src = RandomSource(17)
-    for i in range(20):
-        (k1, v1, p1), (k2, v2, p2) = (measure(state, b, src.split(i)) for b in (kets, checked))
-        assert k1 == k2 and p1 == p2
-        np.testing.assert_array_equal(v1.amplitudes, v2.amplitudes)
-    for bad in ([basis_ket(2, 0), ket([1.0, 1.0]).normalized()],   # not orthonormal
-                [basis_ket(3, 0), basis_ket(3, 1)],                 # incomplete
-                [basis_ket(2, 0), basis_ket(3, 1)]):                # mixed dimensions
-        with pytest.raises(ContractViolation):
-            MeasurementBasis(tuple(bad))

@@ -9,7 +9,7 @@ from framesync import (ContractViolation, CostFunction, EstimateDensity,
                        RandomSource, brute_force_min_cost, estimate_density,
                        likelihood_cost, min_joint_cost,
                        optimal_frameness_state, sample_estimate, variance_cost)
-from framesync.estimation import (_coordinate_descent, _grid_search,
+from framesync.estimation import (GRID_POINTS, _coordinate_descent, _grid_search,
                                   _outcome_probabilities, _seed_weights)
 from conftest import random_unit
 
@@ -288,12 +288,12 @@ def test_sample_estimate_matches_density_ks():
 
 # ------------------------------------------------------------- brute force
 
-def _seed_search(e, cost, method, grid_points=360, restarts=8, rng=None):
+def _seed_search(e, cost, method, grid_points=GRID_POINTS, rng=None):
     """(value, theta) of brute_force_min_cost's search, seed phases included."""
     c0, h = _seed_weights(e, cost)
     if method == "grid":
         return _grid_search(c0, h, grid_points)
-    return _coordinate_descent(c0, h, restarts, rng)
+    return _coordinate_descent(c0, h, rng)
 
 
 def test_brute_force_flat_pair_is_exact_on_the_grid():
@@ -308,7 +308,7 @@ def test_brute_force_flat_pair_is_exact_on_the_grid():
 def test_brute_force_grid_matches_formula_three_levels(seed):
     e = _random_profile(seed, 3)
     want = min_joint_cost(e, variance_cost())
-    got = brute_force_min_cost(e, variance_cost(), grid_points=360)
+    got = brute_force_min_cost(e, variance_cost())
     assert got == pytest.approx(want, abs=1e-3)
     assert got >= want - 1e-12   # the search can never beat the optimum
 
@@ -318,8 +318,7 @@ def test_brute_force_descent_matches_formula(n_levels):
     e = _random_profile(n_levels * 11, n_levels)
     for cost in (variance_cost(), likelihood_cost(2)):
         want = min_joint_cost(e, cost)
-        got = brute_force_min_cost(e, cost, method="descent",
-                                   rng=RandomSource(1))
+        got = brute_force_min_cost(e, cost, rng=RandomSource(1))
         assert got == pytest.approx(want, abs=1e-9)
         assert got >= want - 1e-12
 
@@ -349,18 +348,16 @@ def _explicit_seed_cost(e, cost, theta):
 
 @pytest.mark.parametrize("cost", [variance_cost(), likelihood_cost(3)],
                          ids=["variance", "likelihood"])
-@pytest.mark.parametrize("n_levels, kw", [
-    (2, dict(method="grid", grid_points=24)),
-    (3, dict(method="grid", grid_points=24)),
-    (7, dict(method="descent", rng=RandomSource(5))),
-], ids=["grid-1-free", "grid-2-free", "descent"])
-def test_brute_force_value_is_the_cost_of_its_seed(cost, n_levels, kw):
+@pytest.mark.parametrize("n_levels, method", [(2, "grid"), (3, "grid"), (7, "descent")],
+                         ids=["grid-1-free", "grid-2-free", "descent"])
+def test_brute_force_value_is_the_cost_of_its_seed(cost, n_levels, method):
+    rng = RandomSource(5)
     for seed in range(3):
         e = _random_profile(100 + 10 * n_levels + seed, n_levels)
-        val, theta = _seed_search(e, cost, **kw)
+        val, theta = _seed_search(e, cost, method, rng=rng)
         assert theta[0] == 0.0
         assert val == pytest.approx(_explicit_seed_cost(e, cost, theta), abs=1e-12)
-        assert val == brute_force_min_cost(e, cost, **kw)
+        assert val == brute_force_min_cost(e, cost, rng=rng)
 
 
 @pytest.mark.parametrize("n_levels", [2, 3])
@@ -385,33 +382,21 @@ def test_grid_search_matches_the_loop_reference(n_levels):
 def test_brute_force_likelihood_descent_at_n32():
     cost = likelihood_cost(32)
     e = optimal_frameness_state(32, cost).amps
-    got = brute_force_min_cost(e, cost, method="descent", rng=RandomSource(0))
+    got = brute_force_min_cost(e, cost, rng=RandomSource(0))
     assert got == pytest.approx(min_joint_cost(e, cost), abs=1e-9)
 
 
 def test_brute_force_descent_replays_with_random_source():
     e = _random_profile(9, 6)
-    v1, t1 = _seed_search(e, variance_cost(), "descent", restarts=4, rng=RandomSource(3))
-    v2, t2 = _seed_search(e, variance_cost(), "descent", restarts=4, rng=RandomSource(3))
+    v1, t1 = _seed_search(e, variance_cost(), "descent", rng=RandomSource(3))
+    v2, t2 = _seed_search(e, variance_cost(), "descent", rng=RandomSource(3))
     assert v1 == v2 and t1.tolist() == t2.tolist()
-    assert v1 == brute_force_min_cost(e, variance_cost(), method="descent",
-                                      restarts=4, rng=RandomSource(3))
+    assert v1 == brute_force_min_cost(e, variance_cost(), rng=RandomSource(3))
 
 
 def test_brute_force_input_gates():
-    e = np.full(6, 1 / math.sqrt(6))
-    # a small grid, so that a broken cap fails the test instead of filling memory
     with pytest.raises(ContractViolation):
-        brute_force_min_cost(e, variance_cost(), grid_points=4, method="grid")
-    with pytest.raises(ContractViolation, match="at most 2 free phases"):
-        brute_force_min_cost(e[:4] * math.sqrt(1.5), variance_cost(), grid_points=4,
-                             method="grid")
-    with pytest.raises(ContractViolation):
-        brute_force_min_cost(e, variance_cost(), method="nope")
-    with pytest.raises(ContractViolation):
-        brute_force_min_cost(e[:3], variance_cost())   # not normalized
-    with pytest.raises(ContractViolation):
-        brute_force_min_cost(e, variance_cost(), grid_points=3)
+        brute_force_min_cost(np.full(3, 1 / math.sqrt(6)), variance_cost())   # not normalized
 
 
 def test_covariant_seed_gauge():

@@ -295,9 +295,7 @@ def test_teleport_without_mismatch_is_exact(seed):
 
 def test_teleport_qutrit_needs_matching_resource():
     qutrit = basis_ket(3, 1)
-    with pytest.raises(ContractViolation):
-        teleport_with_mismatch(qutrit, 0.3)
-    rho = teleport_with_mismatch(qutrit, 0.3, resource_dim=3)
+    rho = teleport_with_mismatch(qutrit, 0.3)
     assert fidelity(rho, qutrit) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -339,7 +337,7 @@ def test_teleport_matches_the_per_outcome_protocol(d):
     for _ in range(5):
         psi = ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
         phi = float(gen.uniform(0.0, TWO_PI))
-        rho = teleport_with_mismatch(psi, phi, resource_dim=d)
+        rho = teleport_with_mismatch(psi, phi)
         np.testing.assert_allclose(rho.entries, _teleport_by_outcome(psi.amplitudes, phi),
                                    atol=1e-12)
 
@@ -350,7 +348,7 @@ def test_teleport_kernel_over_a_phase_grid_matches_the_per_outcome_protocol(d):
     phis = np.concatenate([np.linspace(0.0, TWO_PI, 25), gen.uniform(-10.0, 10.0, 8)])
     for _ in range(3):
         psi = ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
-        stack = teleport_with_mismatch(psi, phis, resource_dim=d)
+        stack = teleport_with_mismatch(psi, phis)
         assert stack.shape == (phis.size, d, d) and not stack.flags.writeable
         for phi, rho in zip(phis, stack):
             np.testing.assert_allclose(rho, _teleport_by_outcome(psi.amplitudes, phi),
