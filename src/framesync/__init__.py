@@ -7,16 +7,15 @@ cross-checks, and demonstrations of why classical messages alone cannot do
 the job.
 """
 from .core import (ATOL, ContractViolation, DensityMatrix, Generator, Ket,
-                   RandomSource, as_generator, basis_ket, fidelity, ket,
-                   measure, tensor)
+                   RandomSource, basis_ket, fidelity, ket, measure, tensor)
 from .estimation import (CostFunction, EstimateDensity, brute_force_min_cost,
-                         estimate_density, likelihood_cost, min_joint_cost,
-                         sample_estimate, variance_cost)
-from .protocols import (ConditionalOutcome, GroupTable, SyncProtocol,
-                        WitnessReport, alice_measure, sector_form_residual,
-                        fidelity_after_relay, finite_group_align, frameness,
-                        frameness_of_ket, monte_carlo_cost, no_go_witness,
-                        si_teleport, teleport_with_mismatch)
+                         likelihood_cost, min_joint_cost, sample_estimate,
+                         variance_cost)
+from .protocols import (GroupTable, SyncProtocol, WitnessReport, alice_measure,
+                        sector_form_residual, fidelity_after_relay,
+                        finite_group_align, frameness, frameness_of_ket,
+                        monte_carlo_cost, no_go_witness, si_teleport,
+                        teleport_with_mismatch)
 from .states import (BipartiteFrameState, NotInvariantState, SchmidtSector,
                      expand, flat_state, optimal_frameness_state,
                      sector_magnitudes, sine_state, single_sector_state)

@@ -70,6 +70,18 @@ def render_csv(table: ReportTable) -> str:
     return out.getvalue()
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float as None: JSON (RFC 8259) has no
+    NaN or infinity, so such a value is written as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def render_json(table: ReportTable) -> str:
     doc = {
         "tool": f"frame-sync {__version__}",
@@ -78,7 +90,7 @@ def render_json(table: ReportTable) -> str:
         "columns": table.columns,
         "rows": table.rows,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_strict_json(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(table: ReportTable, cfg: RunConfig) -> int:
@@ -120,7 +132,7 @@ def cmd_cost(cfg: RunConfig) -> ReportTable:
            frameness(state, cost)]
     if cfg.oracle:
         oracle = brute_force_min_cost(state.amps, cost,
-                                      rng=RandomSource(cfg.seed).split(0))
+                                      rng=RandomSource(cfg.seed).split(0).generator())
         row += [oracle, oracle - value]
     table.add(*row)
 
@@ -288,7 +300,10 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
-        raise UsageError(message)
+        # argparse quotes some arguments raw; escape control characters so
+        # that the message stays on one line
+        raise UsageError("".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                                 for c in message))
 
 
 def build_parser() -> argparse.ArgumentParser:

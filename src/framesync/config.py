@@ -49,13 +49,13 @@ def load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"spec file not found: {path}")
+        raise UsageError(f"spec file not found: {path!r}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON in {path}: {exc}")
+        raise UsageError(f"invalid JSON in {path!r}: {exc}")
     except (OSError, ValueError) as exc:   # a directory, bad bytes, a NUL in the path
         raise UsageError(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}")
     if not isinstance(doc, dict):
-        raise UsageError(f"{path} must hold a JSON object")
+        raise UsageError(f"{path!r} must hold a JSON object")
     return doc
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -218,6 +217,7 @@ class RandomSource:
     RandomSource is pure.  ``split(i)`` derives an independent child stream;
     parallel trial i can use ``root.split(i)`` and is reproducible regardless
     of scheduling.  Mixing is delegated to numpy's SeedSequence spawn keys.
+    The samplers take the materialized numpy Generator, never the source.
     """
 
     seed: int
@@ -237,18 +237,6 @@ class RandomSource:
         return np.random.default_rng(ss)
 
 
-RngLike = Union[RandomSource, np.random.Generator]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Accept either a RandomSource value or a live numpy Generator."""
-    if isinstance(rng, RandomSource):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ContractViolation(f"expected RandomSource or numpy Generator, got {type(rng).__name__}")
-
-
 def tensor(a, b):
     """Kronecker product; Ket x Ket gives a Ket, arrays give an array."""
     if isinstance(a, Ket) and isinstance(b, Ket):
@@ -258,13 +246,14 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def measure(state: Ket, dim: int, rng: RngLike):
+def measure(state: Ket, dim: int, rng: np.random.Generator):
     """Computational-basis measurement of the leading tensor factor.
 
     The measured factor has dimension ``dim``; the state dimension must be a
-    multiple of it.  Returns (outcome index, posterior Ket of the unmeasured
-    factors, probability).  For a complete measurement the posterior is the
-    trivial 1-d ket.
+    multiple of it.  The outcome takes one ``random()`` draw from the numpy
+    Generator ``rng``.  Returns (outcome index, posterior Ket of the
+    unmeasured factors, probability).  For a complete measurement the
+    posterior is the trivial 1-d ket.
     """
     state.require_unit()
     if dim < 1 or state.dim % dim != 0:
@@ -273,7 +262,7 @@ def measure(state: Ket, dim: int, rng: RngLike):
 
     cond = state.amplitudes.reshape(dim, -1)   # outcome x rest
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
-    u = as_generator(rng).random()
+    u = rng.random()
     k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     k = min(k, dim - 1)
     p = float(probs[k])

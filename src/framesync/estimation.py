@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import NORM_ATOL, ContractViolation, RandomSource, RngLike, as_generator
+from .core import NORM_ATOL, ContractViolation, RandomSource
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,48 +97,40 @@ def min_joint_cost(e, cost: CostFunction) -> float:
     return cost.c0 + float(cq @ lags)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateDensity:
     """Error density p(delta) = |sum_n m_n exp(i n delta)|^2 / (2 pi).
 
     ``magnitudes[n]`` is the amplitude magnitude at integer level n; zeros are
-    fine and encode spectral gaps.
+    fine and encode spectral gaps.  Stored as a read-only float array, checked
+    once here: nonnegative (within 1e-12), 1-d, nonempty, unit sum of squares.
     """
 
-    magnitudes: tuple
+    magnitudes: np.ndarray
 
     def __post_init__(self):
-        m = tuple(float(x) for x in self.magnitudes)
-        if any(x < -1e-12 for x in m):
+        m = np.asarray(self.magnitudes, dtype=float)
+        if (m < -1e-12).any():
             raise ContractViolation("magnitudes must be nonnegative")
-        m = tuple(max(x, 0.0) for x in m)
-        if not abs(sum(x * x for x in m) - 1.0) <= NORM_ATOL:
-            raise ContractViolation("magnitudes must have unit sum of squares")
+        m = _magnitudes(m)
+        m.setflags(write=False)
         object.__setattr__(self, "magnitudes", m)
 
     def pdf(self, delta):
         delta = np.asarray(delta, dtype=float)
-        m = np.array(self.magnitudes)
-        levels = np.arange(m.size)
-        amp = np.exp(1j * np.multiply.outer(delta, levels)) @ m
+        levels = np.arange(self.magnitudes.size)
+        amp = np.exp(1j * np.multiply.outer(delta, levels)) @ self.magnitudes
         out = (amp.real**2 + amp.imag**2) / TWO_PI
         return out if out.shape else float(out)
 
     @cached_property
     def _mixture_table(self):
         """(D, i n) with D[k, n] = m_n exp(2 pi i n k / M) / sqrt(M), built once."""
-        size = len(self.magnitudes)
+        size = self.magnitudes.size
         levels = np.arange(size)
-        table = (np.array(self.magnitudes) / math.sqrt(size)
+        table = (self.magnitudes / math.sqrt(size)
                  * np.exp(TWO_PI * 1j / size * (np.outer(levels, levels) % size)))
         return table, 1j * levels
-
-
-def estimate_density(psi_magnitudes) -> EstimateDensity:
-    m = np.asarray(psi_magnitudes, dtype=float)
-    if m.ndim != 1 or m.size == 0:
-        raise ContractViolation("magnitude vector must be nonempty and 1-d")
-    return EstimateDensity(tuple(m.tolist()))
 
 
 def _outcome_probabilities(density: EstimateDensity, u: float) -> np.ndarray:
@@ -153,7 +145,8 @@ def _outcome_probabilities(density: EstimateDensity, u: float) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def sample_estimate(density: EstimateDensity, phi_true: float, rng: RngLike) -> float:
+def sample_estimate(density: EstimateDensity, phi_true: float,
+                    rng: np.random.Generator) -> float:
     """Draw an estimate whose error is distributed exactly as the density.
 
     The error density is a trigonometric polynomial of degree M - 1, so Bob's
@@ -161,13 +154,13 @@ def sample_estimate(density: EstimateDensity, phi_true: float, rng: RngLike) -> 
     covariant measurements (Derka, Buzek & Ekert, PRL 80, 1571 (1998)): draw
     u uniform on [0, 2 pi / M), then outcome k with probability P(k | u), and
     return phi_true + u + 2 pi k / M reduced to [0, 2 pi).  No grid, no bias.
+    Takes two ``random()`` draws from ``rng``: u, then the outcome.
     """
-    gen = as_generator(rng)
-    size = len(density.magnitudes)
+    size = density.magnitudes.size
     step = TWO_PI / size
-    u = gen.random() * step
+    u = rng.random() * step
     cum = _outcome_probabilities(density, u).cumsum()
-    k = min(int(cum.searchsorted(gen.random() * cum[-1], side="right")), size - 1)
+    k = min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), size - 1)
     return float((phi_true + u + k * step) % TWO_PI)
 
 
@@ -211,15 +204,14 @@ def _coordinate_descent(c0, h, rng):
     single sinusoid Re(exp(-i theta_n) g) with g = ((H + H^dagger) u)_n, so
     each update jumps straight to the continuous minimizer
     theta_n = pi + arg g; restarts guard against the rare non-global
-    critical point.
+    critical point.  The restarts draw from the numpy Generator ``rng``.
     """
-    gen = as_generator(rng)
     n_levels = h.shape[0]
     sym = h + h.conj().T
     best_val = math.inf
     best = np.zeros(n_levels)
     for _ in range(RESTARTS):
-        theta = np.concatenate(([0.0], gen.uniform(0.0, TWO_PI, size=n_levels - 1)))
+        theta = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, size=n_levels - 1)))
         u = np.exp(1j * theta)
         current = c0 + (u.conj() @ (h @ u)).real
         for _ in range(500):
@@ -239,16 +231,18 @@ def _coordinate_descent(c0, h, rng):
     return best_val, best
 
 
-def brute_force_min_cost(e, cost: CostFunction, *, rng: RngLike | None = None) -> float:
+def brute_force_min_cost(e, cost: CostFunction, *,
+                         rng: np.random.Generator | None = None) -> float:
     """Search covariant rank-one seeds for the minimum average cost.
 
     Up to 2 free phases the search is exhaustive on ``GRID_POINTS`` per
     phase; beyond, it is coordinate descent with exact line search from
-    ``RESTARTS`` random starts drawn from ``rng`` (default ``RandomSource(0)``).
+    ``RESTARTS`` random starts drawn from the numpy Generator ``rng`` (default
+    ``RandomSource(0).generator()``).
     Returns the best value found.
     """
     free = _magnitudes(e).size - 1  # validates normalization
     c0, h = _seed_weights(e, cost)
     if free <= 2:
         return _grid_search(c0, h, GRID_POINTS)[0]
-    return _coordinate_descent(c0, h, rng if rng is not None else RandomSource(0))[0]
+    return _coordinate_descent(c0, h, rng or RandomSource(0).generator())[0]

@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ContractViolation, DensityMatrix, Generator, Ket,
-                   RandomSource, RngLike, _checked_densities, as_generator,
-                   measure, tensor)
-from .estimation import (TWO_PI, CostFunction, EstimateDensity, estimate_density,
-                         min_joint_cost, sample_estimate)
+from .core import (NORM_ATOL, ContractViolation, DensityMatrix, Generator, Ket,
+                   RandomSource, _checked_densities, measure, tensor)
+from .estimation import (TWO_PI, CostFunction, EstimateDensity, min_joint_cost,
+                         sample_estimate)
 from .states import BipartiteFrameState, expand, sector_magnitudes
 
 SUPPORT_ATOL = 1e-12   # amplitude threshold for level supports
@@ -34,24 +32,21 @@ TRIAL_BLOCK = 1024     # Monte Carlo trials per derived RNG stream
 UI_PHI_POINTS = 256    # phase grid of the witness's distance from phase invariance
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalOutcome:
-    k: int
-    probability: float
-    bob_state: Ket
-
-
 def alice_measure(state: BipartiteFrameState) -> tuple:
-    """Deterministic enumeration of Alice's outcomes on the shared state.
+    """Deterministic table of Alice's outcomes on the shared state.
 
     Alice measures in the orthonormal d_A-point Fourier basis of her own
     space: outcome k is the row exp(2 pi i k a / d_A) / sqrt(d_A) over her
     basis slots a.  Each row has magnitude 1/sqrt(d_A) on every slot, so it
     scales every sector by the same 1/sqrt(d_A): each outcome has
     probability 1/d_A and leaves Bob with the profile |e_n|, also under
-    degeneracy.  Returns every outcome with its probability and Bob's
-    collapsed state.  The tuple is cached per state, so a sync run and its
-    residual check share one enumeration.
+    degeneracy.
+
+    The outcome is a number k in 0..d_A - 1, the index into the returned pair
+    (probabilities, bob_states) of read-only arrays of shapes (d_A,) and
+    (d_A, d_B): row k is outcome k's probability and Bob's normalized
+    collapsed state.  The pair is cached per state, so a sync run and its
+    residual check share one table.
     """
     return _alice_outcomes(state)
 
@@ -61,8 +56,10 @@ def _alice_outcomes(state: BipartiteFrameState) -> tuple:
     psi = expand(state).amplitudes.reshape(state.gen_a.dim, state.gen_b.dim)
     cond = np.fft.fft(psi, axis=0, norm="ortho")   # row k: Bob's unnormalized state
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
-    return tuple(ConditionalOutcome(k, float(p), Ket(row / math.sqrt(p)))
-                 for k, (row, p) in enumerate(zip(cond, probs)))
+    bob_states = cond / np.sqrt(probs)[:, None]
+    probs.setflags(write=False)
+    bob_states.setflags(write=False)
+    return probs, bob_states
 
 
 def sector_form_residual(state: BipartiteFrameState) -> float:
@@ -78,7 +75,7 @@ def sector_form_residual(state: BipartiteFrameState) -> float:
     never from the measurement, as one outcome x slot broadcast.
     """
     ga, gb = state.gen_a, state.gen_b
-    items = alice_measure(state)
+    _, bob = alice_measure(state)
     # populated slot pairs: sector n, 0-based Schmidt label l, lam_{n,l}
     secs = [sec for sec in state.sectors if state.amps[sec.level] != 0.0]
     rank = [sec.rank for sec in secs]
@@ -87,19 +84,19 @@ def sector_form_residual(state: BipartiteFrameState) -> float:
     l = np.arange(n.size) - np.repeat(np.cumsum(rank) - rank, rank)
     slots = np.searchsorted(gb.eigenvalues(), n) + l
     s = np.searchsorted(ga.eigenvalues(), state.total - n) + l
-    k = np.array([item.k for item in items])[:, None]
+    k = np.arange(ga.dim)[:, None]
 
-    predicted = np.zeros((len(items), gb.dim), dtype=complex)
+    predicted = np.zeros((ga.dim, gb.dim), dtype=complex)
     # k s mod d_A keeps the phase argument below 2 pi, so it rounds like the FFT's
     predicted[:, slots] = state.amps[n] * lam * np.exp(-2j * np.pi * (k * s % ga.dim) / ga.dim)
     predicted /= np.linalg.norm(predicted, axis=1, keepdims=True)
-    bob = np.array([item.bob_state.amplitudes for item in items])
     align = np.exp(1j * np.angle(np.sum(predicted.conj() * bob, axis=1)))   # 1 at zero overlap
     return float(np.linalg.norm(bob - align[:, None] * predicted, axis=1).max())
 
 
 class SyncProtocol:
-    """Precomputed one-way sync run: outcome table plus Bob's error density.
+    """Precomputed one-way sync run: Alice's cumulative outcome probabilities
+    plus Bob's error density.
 
     Bob's collapsed state has magnitude profile |e_n| for every outcome (the
     outcome only rotates phases, which the covariant seed absorbs), so a
@@ -108,18 +105,18 @@ class SyncProtocol:
 
     def __init__(self, state: BipartiteFrameState):
         self.state = state
-        self.outcomes = alice_measure(state)
-        self._cum = list(itertools.accumulate(o.probability for o in self.outcomes))
-        if abs(self._cum[-1] - 1.0) > 1e-10:
+        # a Python list: bisect on it costs less per draw than searchsorted
+        self._cum = np.cumsum(alice_measure(state)[0]).tolist()
+        if not abs(self._cum[-1] - 1.0) <= NORM_ATOL:
             raise ContractViolation(
                 f"outcome probabilities sum to {self._cum[-1]!r}, expected 1")
-        self.density: EstimateDensity = estimate_density(state.magnitudes())
+        self.density = EstimateDensity(state.magnitudes())
 
-    def trial(self, phi_true: float, rng: RngLike):
-        gen = as_generator(rng)
-        k = min(bisect.bisect_right(self._cum, gen.random()), len(self.outcomes) - 1)
-        phi_hat = sample_estimate(self.density, phi_true, gen)
-        return phi_hat, self.outcomes[k]
+    def trial(self, phi_true: float, rng: np.random.Generator):
+        """One round on the numpy Generator ``rng``: Alice's outcome k from one
+        draw, then Bob's estimate from two.  Returns (phi_hat, k)."""
+        k = min(bisect.bisect_right(self._cum, rng.random()), len(self._cum) - 1)
+        return sample_estimate(self.density, phi_true, rng), k
 
 
 def monte_carlo_cost(state: BipartiteFrameState, cost: CostFunction, trials: int,
@@ -379,21 +376,21 @@ def _correlated_state(row: tuple) -> Ket:
     return Ket(amps.reshape(-1))
 
 
-def finite_group_align(group: GroupTable, mismatch: int, rng: RngLike) -> int:
+def finite_group_align(group: GroupTable, mismatch: int, rng: np.random.Generator) -> int:
     """Recover a finite-group frame mismatch exactly from one shared pair.
 
     The parties share the uniform correlated state over group elements; Alice
     measures in her element basis (the computational one), Bob in his (offset
     by the mismatch), and the estimate (Bob's outcome) * (Alice's outcome)^-1
-    is exact every time.
+    is exact every time.  Both measurements draw from the numpy Generator
+    ``rng``.
     """
     d = group.order
     if not 0 <= mismatch < d:
         raise ContractViolation(f"mismatch must be an element index 0..{d - 1}")
-    gen = as_generator(rng)
 
     state = _correlated_state(group.table[mismatch])
-    a_out, posterior, _ = measure(state, d, gen)
-    b_out, _, _ = measure(posterior, d, gen)
+    a_out, posterior, _ = measure(state, d, rng)
+    b_out, _, _ = measure(posterior, d, rng)
     return group.mul(b_out, group.inverse(a_out))
 

@@ -285,6 +285,24 @@ def test_cost_metadata_echo_is_json(capsys):
     assert echo["N"] == 5 and echo["seed"] == 17
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_output_writes_non_finite_floats_as_null(capsys):
+    # one N: no slope fit, so every family's slope row is NaN
+    code, out, _ = run(capsys, "scaling", "--N-range", "8..8", "--json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert [row[2] for row in doc["rows"] if row[1] == "slope"] == [None] * 3
+    _, csv_out, _ = run(capsys, "scaling", "--N-range", "8..8")
+    assert [row[2] for row in data_rows(csv_out)[1] if row[1] == "slope"] == ["nan"] * 3
+    t = ReportTable(["x"], metadata={"limits": [math.inf, -math.inf]})
+    t.add(math.nan)
+    doc = json.loads(render_json(t), parse_constant=_reject_constant)
+    assert doc["rows"] == [[None]] and doc["metadata"]["limits"] == [None, None]
+
+
 # ---------------------------------------------------------- other commands
 
 def test_scaling_flat_costs_and_slope(capsys):
@@ -573,6 +591,9 @@ _FLAG_VALUES = {
        flags=st.fixed_dictionaries({}, optional=_FLAG_VALUES))
 @example(command="scaling", flags={"state": " , ", "N_range": "1..3"})
 @example(command="align", flags={"trials": str(2**63), "d": "64"})
+@example(command="teleport-demo", flags={"psi0": "\r0"})
+@example(command="sync-sim", flags={"config": "e\nf"})
+@example(command="cost", flags={"": "x\ny"})   # argv `cost -- 'x\ny'`: a stray argument
 def test_argv_shapes_exit_cleanly(command, flags):
     argv = [command]
     for key, value in flags.items():

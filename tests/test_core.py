@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framesync import (ContractViolation, DensityMatrix, Generator, Ket,
-                       RandomSource, as_generator, basis_ket, fidelity, ket,
-                       measure, tensor)
+                       RandomSource, basis_ket, fidelity, ket, measure, tensor)
 from framesync.core import _checked_densities
 
 RT2 = np.sqrt(2.0)
@@ -189,14 +188,6 @@ def test_random_source_validates_seed():
         RandomSource(2**64)
 
 
-def test_as_generator_accepts_both_kinds():
-    gen = np.random.default_rng(0)
-    assert as_generator(gen) is gen
-    assert isinstance(as_generator(RandomSource(3)), np.random.Generator)
-    with pytest.raises(ContractViolation):
-        as_generator(42)
-
-
 # ----------------------------------------------------------- measurement
 
 def test_measure_complete_basis_frozen_probs():
@@ -282,8 +273,8 @@ def test_measure_validates_inputs():
 def test_measure_replays_under_random_source():
     state = ket([0.5, 0.5, 0.5, 0.5])
     src = RandomSource(99, (4,))
-    first = [measure(state, 2, src.split(i)) for i in range(20)]
-    second = [measure(state, 2, src.split(i)) for i in range(20)]
+    first = [measure(state, 2, src.split(i).generator()) for i in range(20)]
+    second = [measure(state, 2, src.split(i).generator()) for i in range(20)]
     for (k1, v1, p1), (k2, v2, p2) in zip(first, second):
         assert k1 == k2 and p1 == p2
         np.testing.assert_array_equal(v1.amplitudes, v2.amplitudes)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framesync import (ContractViolation, CostFunction, EstimateDensity,
-                       RandomSource, brute_force_min_cost, estimate_density,
-                       likelihood_cost, min_joint_cost,
-                       optimal_frameness_state, sample_estimate, variance_cost)
+                       RandomSource, brute_force_min_cost, likelihood_cost,
+                       min_joint_cost, optimal_frameness_state, sample_estimate,
+                       variance_cost)
 from framesync.estimation import (GRID_POINTS, _coordinate_descent, _grid_search,
                                   _outcome_probabilities, _seed_weights)
 from conftest import random_unit
@@ -168,7 +168,7 @@ def test_min_joint_cost_rejects_nan(e):
 
 def test_density_normalizes_and_is_nonnegative():
     for seed in range(5):
-        dens = estimate_density(np.abs(_random_profile(seed, 6)))
+        dens = EstimateDensity(np.abs(_random_profile(seed, 6)))
         grid = np.linspace(0, TWO_PI, 1 << 16, endpoint=False)
         p = dens.pdf(grid)
         assert p.min() >= -1e-15
@@ -177,12 +177,12 @@ def test_density_normalizes_and_is_nonnegative():
 
 def test_density_flat_profile_peak_value():
     for n_tot in (1, 4, 16):
-        dens = estimate_density(np.full(n_tot + 1, 1 / math.sqrt(n_tot + 1)))
+        dens = EstimateDensity(np.full(n_tot + 1, 1 / math.sqrt(n_tot + 1)))
         assert dens.pdf(0.0) == pytest.approx((n_tot + 1) / TWO_PI, abs=1e-12)
 
 
 def test_density_single_level_is_uniform():
-    dens = estimate_density([1.0])
+    dens = EstimateDensity([1.0])
     grid = np.linspace(0, TWO_PI, 64)
     np.testing.assert_allclose(dens.pdf(grid), 1 / TWO_PI, atol=1e-15)
 
@@ -199,7 +199,7 @@ def test_average_cost_equals_min_joint_cost(seed, n):
     # the two derivations must meet: quadrature of c * p against the
     # closed-form overlap sum
     m = np.abs(_random_profile(seed, n + 1))
-    dens = estimate_density(m)
+    dens = EstimateDensity(m)
     for cost in (variance_cost(), likelihood_cost(n)):
         assert _average_cost(dens, cost) == pytest.approx(
             min_joint_cost(m, cost), abs=1e-9)
@@ -208,7 +208,7 @@ def test_average_cost_equals_min_joint_cost(seed, n):
 def test_average_cost_quadrature_is_exact_once_grid_beats_bandwidth():
     # c * p is a trigonometric polynomial of degree 9, so 64 points are exact
     m = np.abs(_random_profile(7, 9))
-    dens = estimate_density(m)
+    dens = EstimateDensity(m)
     cost = variance_cost()
     coarse = _average_cost(dens, cost, points=64)
     assert coarse == pytest.approx(_average_cost(dens, cost), abs=1e-12)
@@ -217,7 +217,7 @@ def test_average_cost_quadrature_is_exact_once_grid_beats_bandwidth():
 
 def test_density_input_gates():
     with pytest.raises(ContractViolation):
-        estimate_density(np.ones((2, 2)))
+        EstimateDensity(np.ones((2, 2)))
     with pytest.raises(ContractViolation):
         EstimateDensity((0.9, 0.9))
     with pytest.raises(ContractViolation):
@@ -226,27 +226,27 @@ def test_density_input_gates():
 
 @pytest.mark.parametrize("m", [[np.nan, 0.5], [np.nan], [1.0, np.nan]])
 def test_density_rejects_nan(m):
-    with pytest.raises(ContractViolation, match="unit sum of squares"):
-        estimate_density(m)
+    with pytest.raises(ContractViolation, match="normalized"):
+        EstimateDensity(m)
 
 
 # ---------------------------------------------------------------- sampling
 
 def test_sample_estimate_stays_in_range_and_replays():
-    dens = estimate_density(np.full(3, 1 / math.sqrt(3)))
+    dens = EstimateDensity(np.full(3, 1 / math.sqrt(3)))
     src = RandomSource(21)
-    xs = [sample_estimate(dens, 1.0, src.split(i)) for i in range(200)]
+    xs = [sample_estimate(dens, 1.0, src.split(i).generator()) for i in range(200)]
     assert all(0.0 <= x < TWO_PI for x in xs)
-    ys = [sample_estimate(dens, 1.0, src.split(i)) for i in range(200)]
+    ys = [sample_estimate(dens, 1.0, src.split(i).generator()) for i in range(200)]
     assert xs == ys
 
 
 @given(phi=angles)
 def test_sample_estimate_error_is_offset_covariant(phi):
-    dens = estimate_density(np.full(2, 1 / math.sqrt(2)))
+    dens = EstimateDensity(np.full(2, 1 / math.sqrt(2)))
     src = RandomSource(5, (17,))
-    base = sample_estimate(dens, 0.0, src)
-    shifted = sample_estimate(dens, phi, src)
+    base = sample_estimate(dens, 0.0, src.generator())
+    shifted = sample_estimate(dens, phi, src.generator())
     diff = (shifted - base - phi) % TWO_PI
     assert min(diff, TWO_PI - diff) < 1e-9
 
@@ -258,7 +258,7 @@ def test_mixture_outcome_law_is_the_density_pointwise():
     gapped[[0, 3, 4, 8]] = np.abs(_random_profile(5, 4))
     profiles += [gapped, np.array([0.0, 0.0, 1.0])]
     for m in profiles:
-        dens = estimate_density(m)
+        dens = EstimateDensity(m)
         size = m.size
         for u in gen.uniform(0.0, TWO_PI / size, size=50):
             probs = _outcome_probabilities(dens, u)
@@ -270,7 +270,7 @@ def test_mixture_outcome_law_is_the_density_pointwise():
 
 def test_sample_estimate_matches_density_ks():
     m = np.abs(_random_profile(3, 3))
-    dens = estimate_density(m)
+    dens = EstimateDensity(m)
     n_samples = 20_000
     gen = RandomSource(8).generator()
     xs = np.sort([sample_estimate(dens, 0.0, gen) for _ in range(n_samples)])
@@ -318,7 +318,7 @@ def test_brute_force_descent_matches_formula(n_levels):
     e = _random_profile(n_levels * 11, n_levels)
     for cost in (variance_cost(), likelihood_cost(2)):
         want = min_joint_cost(e, cost)
-        got = brute_force_min_cost(e, cost, rng=RandomSource(1))
+        got = brute_force_min_cost(e, cost, rng=RandomSource(1).generator())
         assert got == pytest.approx(want, abs=1e-9)
         assert got >= want - 1e-12
 
@@ -326,7 +326,7 @@ def test_brute_force_descent_matches_formula(n_levels):
 def test_brute_force_seed_aligns_every_weighted_pair():
     e = _random_profile(42, 5)
     cost = variance_cost()
-    val, theta = _seed_search(e, cost, "descent", rng=RandomSource(2))
+    val, theta = _seed_search(e, cost, "descent", rng=RandomSource(2).generator())
     arg = np.angle(np.asarray(e, dtype=complex))
     for n in range(4):
         # the weights are negative, so each pair should sit at cos = +1
@@ -354,10 +354,10 @@ def test_brute_force_value_is_the_cost_of_its_seed(cost, n_levels, method):
     rng = RandomSource(5)
     for seed in range(3):
         e = _random_profile(100 + 10 * n_levels + seed, n_levels)
-        val, theta = _seed_search(e, cost, method, rng=rng)
+        val, theta = _seed_search(e, cost, method, rng=rng.generator())
         assert theta[0] == 0.0
         assert val == pytest.approx(_explicit_seed_cost(e, cost, theta), abs=1e-12)
-        assert val == brute_force_min_cost(e, cost, rng=rng)
+        assert val == brute_force_min_cost(e, cost, rng=rng.generator())
 
 
 @pytest.mark.parametrize("n_levels", [2, 3])
@@ -382,16 +382,16 @@ def test_grid_search_matches_the_loop_reference(n_levels):
 def test_brute_force_likelihood_descent_at_n32():
     cost = likelihood_cost(32)
     e = optimal_frameness_state(32, cost).amps
-    got = brute_force_min_cost(e, cost, rng=RandomSource(0))
+    got = brute_force_min_cost(e, cost, rng=RandomSource(0).generator())
     assert got == pytest.approx(min_joint_cost(e, cost), abs=1e-9)
 
 
 def test_brute_force_descent_replays_with_random_source():
     e = _random_profile(9, 6)
-    v1, t1 = _seed_search(e, variance_cost(), "descent", rng=RandomSource(3))
-    v2, t2 = _seed_search(e, variance_cost(), "descent", rng=RandomSource(3))
+    v1, t1 = _seed_search(e, variance_cost(), "descent", rng=RandomSource(3).generator())
+    v2, t2 = _seed_search(e, variance_cost(), "descent", rng=RandomSource(3).generator())
     assert v1 == v2 and t1.tolist() == t2.tolist()
-    assert v1 == brute_force_min_cost(e, variance_cost(), rng=RandomSource(3))
+    assert v1 == brute_force_min_cost(e, variance_cost(), rng=RandomSource(3).generator())
 
 
 def test_brute_force_input_gates():
@@ -403,5 +403,5 @@ def test_covariant_seed_gauge():
     # both searches fix the gauge theta_0 = 0, also where no pair is weighted
     for e in (_random_profile(3, 3), [1.0], [0.0, 1.0, 0.0]):
         for method in ("grid", "descent"):
-            _, theta = _seed_search(e, variance_cost(), method, rng=RandomSource(1))
+            _, theta = _seed_search(e, variance_cost(), method, rng=RandomSource(1).generator())
             assert theta.shape == (len(e),) and theta[0] == 0.0

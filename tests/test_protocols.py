@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesync import (BipartiteFrameState, ConditionalOutcome,
-                       ContractViolation, DensityMatrix, Generator,
+from framesync import (BipartiteFrameState, ContractViolation, DensityMatrix, Generator,
                        GroupTable, Ket, RandomSource, SchmidtSector,
                        SyncProtocol, alice_measure, basis_ket,
                        sector_form_residual, fidelity, fidelity_after_relay,
@@ -27,7 +26,8 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _dft_outcomes_by_loop(state):
     """Loop reference of _alice_outcomes: one Fourier row of Alice's space at
-    a time, projected onto the shared state."""
+    a time, projected onto the shared state.  Item k is outcome k's
+    (probability, Bob's normalized state)."""
     d_a = state.gen_a.dim
     psi = expand(state).amplitudes.reshape(d_a, state.gen_b.dim)
     outcomes = []
@@ -35,7 +35,7 @@ def _dft_outcomes_by_loop(state):
         row = np.array([np.exp(2j * np.pi * k * a / d_a) for a in range(d_a)]) / math.sqrt(d_a)
         cond = row.conj() @ psi
         p = float(np.vdot(cond, cond).real)
-        outcomes.append((k, p, cond / math.sqrt(p)))
+        outcomes.append((p, cond / math.sqrt(p)))
     return outcomes
 
 
@@ -44,35 +44,45 @@ def _dft_outcomes_by_loop(state):
 def test_alice_outcomes_match_the_dft_loop_reference(seed, n_tot, max_deg):
     state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
     protocols._alice_outcomes.cache_clear()
-    got = protocols._alice_outcomes(state)
+    probs, bob = protocols._alice_outcomes(state)
     want = _dft_outcomes_by_loop(state)
-    assert [item.k for item in got] == [k for k, _, _ in want]
-    for item, (_, p, bob) in zip(got, want):
-        assert item.probability == pytest.approx(p, abs=1e-12)
-        np.testing.assert_allclose(item.bob_state.amplitudes, bob, atol=1e-12)
+    assert probs.shape == (len(want),) and bob.shape == (len(want), state.gen_b.dim)
+    for k, (p, bob_k) in enumerate(want):
+        assert probs[k] == pytest.approx(p, abs=1e-12)
+        np.testing.assert_allclose(bob[k], bob_k, atol=1e-12)
 
 
 def test_alice_measure_shared_pair_frozen():
-    outs = alice_measure(flat_state(1))
-    assert len(outs) == 2
+    probs, bob = alice_measure(flat_state(1))
+    assert probs.shape == (2,) and bob.shape == (2, 2)
     plus = ket([1.0, 1.0]).normalized()
     minus = ket([1.0, -1.0]).normalized()
-    for item in outs:
-        assert item.probability == pytest.approx(0.5, abs=1e-12)
-        want = plus if item.k == 0 else minus
-        assert abs(item.bob_state.inner(want)) == pytest.approx(1.0, abs=1e-12)
+    for k, want in enumerate((plus, minus)):
+        assert probs[k] == pytest.approx(0.5, abs=1e-12)
+        assert abs(np.vdot(want.amplitudes, bob[k])) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_alice_measure_tables_are_read_only():
+    # the pair is cached per state, so a write would poison every later caller
+    state = flat_state(2)
+    probs, bob = alice_measure(state)
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
+    with pytest.raises(ValueError):
+        bob[0, 0] = 1.0
+    assert alice_measure(state)[0] is probs
+    np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds, n_tot=st.integers(1, 4), max_deg=st.integers(1, 3))
 def test_alice_measure_uniform_probabilities(seed, n_tot, max_deg):
     state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
-    outs = alice_measure(state)
+    probs, _ = alice_measure(state)
     d_a = state.gen_a.dim
-    assert len(outs) == d_a
-    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
-    for o in outs:   # uniform by construction
-        assert o.probability == pytest.approx(1 / d_a, abs=1e-12)
+    assert probs.shape == (d_a,)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+    np.testing.assert_allclose(probs, 1 / d_a, atol=1e-12)   # uniform by construction
 
 
 @settings(max_examples=25, deadline=None)
@@ -81,9 +91,8 @@ def test_every_outcome_leaves_bob_with_the_joint_profile(seed, n_tot, max_deg):
     state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
     gb = state.gen_b
     want = state.magnitudes()
-    for item in alice_measure(state):
-        mags = np.array([np.linalg.norm(item.bob_state.amplitudes[gb.level_slice(n)])
-                         for n in range(n_tot + 1)])
+    for bob_k in alice_measure(state)[1]:
+        mags = np.array([np.linalg.norm(bob_k[gb.level_slice(n)]) for n in range(n_tot + 1)])
         np.testing.assert_allclose(mags, want, atol=1e-12)
 
 
@@ -94,13 +103,13 @@ def test_collapsed_states_match_sector_form(seed, n_tot, max_deg):
     assert sector_form_residual(state) < 1e-12
 
 
-def _residual_by_outcome(state, items):
+def _residual_by_outcome(state, bob):
     """Loop reference of sector_form_residual, one outcome and Schmidt pair at
     a time: Bob's slot (n, l) carries e_n lam_{n,l} exp(-2 pi i k s / d_A),
-    with s Alice's slot paired with it."""
+    with s Alice's slot paired with it.  Row k of ``bob`` is outcome k."""
     ga, gb = state.gen_a, state.gen_b
     worst = 0.0
-    for item in items:
+    for k, bob_k in enumerate(bob):
         predicted = np.zeros(gb.dim, dtype=complex)
         for n in range(state.total + 1):
             sec = state.sector(n)
@@ -108,12 +117,12 @@ def _residual_by_outcome(state, items):
                 continue
             sa, sb = ga.level_slice(state.total - n), gb.level_slice(n)
             for l, lam in enumerate(sec.lam):
-                phase = np.exp(-2j * np.pi * item.k * (sa.start + l) / ga.dim)
+                phase = np.exp(-2j * np.pi * k * (sa.start + l) / ga.dim)
                 predicted[sb.start + l] = state.amps[n] * lam * phase
         predicted /= np.linalg.norm(predicted)
-        overlap = np.vdot(predicted, item.bob_state.amplitudes)
+        overlap = np.vdot(predicted, bob_k)
         align = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-        worst = max(worst, float(np.linalg.norm(item.bob_state.amplitudes - align * predicted)))
+        worst = max(worst, float(np.linalg.norm(bob_k - align * predicted)))
     return worst
 
 
@@ -121,13 +130,12 @@ def _residual_by_outcome(state, items):
 @given(seed=seeds, n_tot=st.integers(1, 5), max_deg=st.integers(1, 3))
 def test_sector_form_residual_matches_the_per_outcome_loop(seed, n_tot, max_deg):
     state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
-    items = alice_measure(state)
+    probs, bob = alice_measure(state)
     assert sector_form_residual(state) == pytest.approx(
-        _residual_by_outcome(state, items), abs=1e-12)
+        _residual_by_outcome(state, bob), abs=1e-12)
     # Bob's states handed to the wrong outcomes: a large residual, the same in both
-    shifted = tuple(ConditionalOutcome(a.k, a.probability, b.bob_state)
-                    for a, b in zip(items, items[1:] + items[:1]))
-    want = _residual_by_outcome(state, shifted)
+    shifted = (probs, np.roll(bob, -1, axis=0))
+    want = _residual_by_outcome(state, shifted[1])
     original = protocols.alice_measure
     protocols.alice_measure = lambda s: shifted
     try:
@@ -144,7 +152,7 @@ def test_sector_form_residual_skips_empty_sectors():
                                                 SchmidtSector(0, (1.0, 0.0))))
     assert sector_form_residual(state) < 1e-12
     assert sector_form_residual(state) == pytest.approx(
-        _residual_by_outcome(state, alice_measure(state)), abs=1e-12)
+        _residual_by_outcome(state, alice_measure(state)[1]), abs=1e-12)
 
 
 def test_per_outcome_cost_equals_joint_optimum():
@@ -152,9 +160,8 @@ def test_per_outcome_cost_equals_joint_optimum():
     cost = variance_cost()
     joint = min_joint_cost(state.magnitudes(), cost)
     gb = state.gen_b
-    for item in alice_measure(state):
-        mags = np.array([np.linalg.norm(item.bob_state.amplitudes[gb.level_slice(n)])
-                         for n in range(state.total + 1)])
+    for bob_k in alice_measure(state)[1]:
+        mags = np.array([np.linalg.norm(bob_k[gb.level_slice(n)]) for n in range(state.total + 1)])
         assert min_joint_cost(mags, cost) == pytest.approx(joint, abs=1e-12)
 
 
@@ -163,9 +170,9 @@ def test_per_outcome_cost_equals_joint_optimum():
 def test_sync_trial_replays_and_stays_in_range():
     state = flat_state(3)
     src = RandomSource(4, (2,))
-    a = SyncProtocol(state).trial(1.2, src)
-    b = SyncProtocol(state).trial(1.2, src)
-    assert a[0] == b[0] and a[1].k == b[1].k
+    a = SyncProtocol(state).trial(1.2, src.generator())
+    b = SyncProtocol(state).trial(1.2, src.generator())
+    assert a == b
     assert 0.0 <= a[0] < TWO_PI
 
 
@@ -173,9 +180,20 @@ def test_sync_protocol_rejects_nothing_but_reuses_density():
     proto = SyncProtocol(sine_state(4))
     gen = RandomSource(9).generator()
     for _ in range(50):
-        phi_hat, out = proto.trial(0.0, gen)
+        phi_hat, k = proto.trial(0.0, gen)
         assert 0.0 <= phi_hat < TWO_PI
-        assert out.probability == pytest.approx(1 / 5, abs=1e-12)
+        assert 0 <= k < 5
+
+
+def test_sync_trial_reports_a_uniform_outcome_index():
+    # Alice's message is the number k; each of the d_A outcomes has probability 1/d_A
+    proto = SyncProtocol(optimal_frameness_state(6, variance_cost()))
+    d_a, trials = proto.state.gen_a.dim, 7000
+    gen = RandomSource(3).generator()
+    ks = [proto.trial(0.5, gen)[1] for _ in range(trials)]
+    assert all(type(k) is int and 0 <= k < d_a for k in ks)
+    sigma = math.sqrt(trials * (1 / d_a) * (1 - 1 / d_a))
+    assert np.abs(np.bincount(ks, minlength=d_a) - trials / d_a).max() <= 5 * sigma
 
 
 def test_monte_carlo_cost_hits_the_formula():
@@ -577,4 +595,4 @@ def test_align_run_checks_its_group_once(monkeypatch, capsys):
 
 def test_finite_group_align_input_gate():
     with pytest.raises(ContractViolation):
-        finite_group_align(GroupTable.cyclic(3), 3, RandomSource(0))
+        finite_group_align(GroupTable.cyclic(3), 3, RandomSource(0).generator())
