@@ -13,6 +13,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
 from .states import optimal_frameness_state
 
 TELEPORT_CHUNK = 1 << 17   # density-matrix entries per teleport_with_mismatch call
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')   # a CSV field holding one of these is quoted
 
 
 @dataclass
@@ -50,9 +52,12 @@ class ReportTable:
 
 
 def _fmt(value) -> str:
+    """A CSV field with RFC 4180 minimal quoting, which only text can need; so
+    numbers skip the scan that ``csv.writer`` runs on every field."""
     if isinstance(value, float):
         return repr(float(value))   # normalizes numpy scalars to plain repr
-    return str(value)
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
 def render_csv(table: ReportTable) -> str:
@@ -187,11 +192,11 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
     """Monte Carlo of the one-way sync protocol vs the optimum."""
     if cfg.n_range:
         lo, hi = parse_n_range(cfg.n_range)
-        n_values = list(range(lo, hi + 1))
     else:
-        n_values = [cfg.n if cfg.n is not None else 4]
-    if max(n_values) > DEMO_N_CAP:
+        lo = hi = cfg.n if cfg.n is not None else 4
+    if hi > DEMO_N_CAP:
         raise UsageError(f"sync-sim N capped at {DEMO_N_CAP}")
+    n_values = range(lo, hi + 1)
     trials = cfg.trials if cfg.trials is not None else 10000
     if trials * len(n_values) > SYNC_WORK_CAP:
         raise UsageError(f"sync-sim work trials * N values capped at {SYNC_WORK_CAP}, "
@@ -201,7 +206,7 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
         ["N", "state", "analytic_min_cost", "mc_mean", "std_error", "z_score",
          "sector_form_residual"])
     root = RandomSource(cfg.seed)
-    worst_z = 0.0
+    worst_z, residuals = 0.0, []
     state_spec, cost_spec = state_dict(cfg.state), cost_dict(cfg.cost)
     for n in n_values:
         state = frame_state_from_spec(state_spec, n, cost_spec)
@@ -210,10 +215,14 @@ def cmd_sync_sim(cfg: RunConfig) -> ReportTable:
         mean, sem = monte_carlo_cost(state, cost, trials, root.split(n))
         z = (mean - analytic) / sem if sem > 0 else 0.0
         worst_z = max(worst_z, abs(z))
-        table.add(state.total, _state_label(cfg), analytic, mean, sem, z,
-                  sector_form_residual(state))
+        residuals.append(sector_form_residual(state))
+        table.add(state.total, _state_label(cfg), analytic, mean, sem, z, residuals[-1])
     if worst_z > 5.0:
         table.notes.append(f"self-check failed: |z| = {worst_z:.2f} exceeds 5")
+        table.exit_code = 2
+    worst = float(np.max(residuals))
+    if not worst <= 1e-10:   # the witness's gate; a NaN fails it
+        table.notes.append(f"self-check failed: sector_form_residual {worst:.3e} exceeds 1e-10")
         table.exit_code = 2
     return table
 

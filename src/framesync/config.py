@@ -112,7 +112,7 @@ def _unit_ket(values, what: str) -> Ket:
     if not isinstance(values, list):
         raise UsageError(f"{what} must be a list")
     psi = Ket(np.array([_amplitude(v, "amplitude") for v in values], dtype=complex))
-    if not psi.is_unit(NORM_ATOL):
+    if not psi.is_unit():
         raise UsageError(f"{what} must be normalized")
     return psi
 

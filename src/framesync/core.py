@@ -50,11 +50,11 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_unit(self, atol: float = ATOL) -> bool:
-        return abs(self.norm() - 1.0) <= atol
+    def is_unit(self) -> bool:
+        return abs(self.norm() - 1.0) <= NORM_ATOL
 
     def require_unit(self, what: str = "state") -> "Ket":
-        if abs(self.norm() - 1.0) > NORM_ATOL:
+        if not self.is_unit():
             raise ContractViolation(f"{what} must be normalized, got norm {self.norm():.6g}")
         return self
 
@@ -85,42 +85,34 @@ def basis_ket(dim: int, index: int) -> Ket:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Mixed state; validated hermitian, positive, unit trace on construction."""
+    """Mixed state, or a (..., d, d) stack of them; each matrix is validated
+    hermitian, positive and of unit trace on construction, all at once.  A
+    failing stack reports the trace farthest from 1."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ContractViolation(f"density matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "entries", _checked_densities(m))
+        # written as ``not ... <=`` so that a NaN fails each gate
+        if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:
+            raise ContractViolation("density matrix must be hermitian within 1e-12")
+        trace = np.trace(m, axis1=-2, axis2=-1).real
+        worst = trace.flat[np.argmax(np.abs(trace - 1.0))]
+        if not abs(worst - 1.0) <= ATOL:
+            raise ContractViolation(f"density matrix trace must be 1, got {worst!r}")
+        if not np.linalg.eigvalsh(m).min() >= -ATOL:
+            raise ContractViolation("density matrix must be positive semidefinite")
+        object.__setattr__(self, "entries", _frozen_array(m, complex))
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @classmethod
     def pure(cls, psi: Ket) -> "DensityMatrix":
         return cls(psi.normalized().outer())
-
-
-def _checked_densities(m) -> np.ndarray:
-    """DensityMatrix's gates on each matrix of the (..., d, d) stack ``m`` at
-    once; returns a read-only complex copy.  A failing stack reports the
-    trace farthest from 1."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ContractViolation(f"density matrix must be square, got shape {m.shape}")
-    # written as ``not ... <=`` so that a NaN fails each gate
-    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:
-        raise ContractViolation("density matrix must be hermitian within 1e-12")
-    trace = np.trace(m, axis1=-2, axis2=-1).real
-    worst = trace.flat[np.argmax(np.abs(trace - 1.0))]
-    if not abs(worst - 1.0) <= ATOL:
-        raise ContractViolation(f"density matrix trace must be 1, got {worst!r}")
-    if not np.linalg.eigvalsh(m).min() >= -ATOL:
-        raise ContractViolation("density matrix must be positive semidefinite")
-    return _frozen_array(m, complex)
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,8 @@ class Generator:
 
     Levels are sorted strictly increasing.  The induced basis ordering is by
     level, then by 1-based degeneracy index, so level ``n`` occupies the
-    basis slots ``level_slice(n)``.
+    basis slots ``level_slice(n)``, from ``starts(n)`` on.  One read-only
+    table of eigenvalues, degeneracies and first slots answers every lookup.
     """
 
     levels: tuple
@@ -144,20 +137,15 @@ class Generator:
         for n, d in lv:
             if d < 1:
                 raise ContractViolation(f"degeneracy must be >= 1, got {d} at level {n}")
-        eigs = [n for n, _ in lv]
-        if any(b <= a for a, b in zip(eigs, eigs[1:])):
+        if any(b <= a for (a, _), (b, _) in zip(lv, lv[1:])):
             raise ContractViolation("eigenvalues must be strictly increasing")
         object.__setattr__(self, "levels", lv)
-        slices, off = {}, 0
-        for n, d in lv:
-            slices[n] = slice(off, off + d)
-            off += d
-        object.__setattr__(self, "_slices", slices)
-        try:   # sorted level tables for the vectorized ``degeneracies``
-            object.__setattr__(self, "_level_eigs", _frozen_array(eigs, np.int64))
-            object.__setattr__(self, "_level_degs", _frozen_array([d for _, d in lv], np.int64))
+        try:   # the level table: rows eigenvalue, degeneracy, first basis slot
+            eigs, degs = np.array(list(zip(*lv)), dtype=object)   # slot sums cannot wrap
+            table = _frozen_array((eigs, degs, np.cumsum(degs) - degs), np.int64)
         except OverflowError:
             raise ContractViolation("levels and degeneracies must fit in 64-bit integers")
+        object.__setattr__(self, "_table", table)
 
     @staticmethod
     def ladder(dim: int) -> "Generator":
@@ -180,26 +168,31 @@ class Generator:
 
     def eigenvalues(self) -> np.ndarray:
         """Per-basis-slot eigenvalue, degeneracies expanded."""
-        return np.repeat([n for n, _ in self.levels], [d for _, d in self.levels])
+        return np.repeat(self._table[0], self._table[1])
 
-    def has_level(self, n: int) -> bool:
-        return n in self._slices
-
-    def degeneracy(self, n: int) -> int:
-        s = self._slices.get(n)
-        return 0 if s is None else s.stop - s.start
+    def _rows(self, levels):
+        """Table row of each entry of an integer array, and whether its level is there."""
+        levels = np.asarray(levels, dtype=np.int64)
+        eigs = self._table[0]
+        at = np.minimum(np.searchsorted(eigs, levels), eigs.size - 1)
+        return at, eigs[at] == levels
 
     def degeneracies(self, levels) -> np.ndarray:
-        """``degeneracy`` of each entry of an integer array, 0 where absent."""
-        levels = np.asarray(levels, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self._level_eigs, levels), self._level_eigs.size - 1)
-        return np.where(self._level_eigs[at] == levels, self._level_degs[at], 0)
+        """Degeneracy of each entry of an integer array, 0 where absent."""
+        at, present = self._rows(levels)
+        return np.where(present, self._table[1, at], 0)
+
+    def starts(self, levels) -> np.ndarray:
+        """First basis slot of each entry of an integer array; every level
+        must be present."""
+        at, present = self._rows(levels)
+        if not present.all():
+            raise ContractViolation(f"generator has no level {np.asarray(levels)[~present][0]}")
+        return self._table[2, at]
 
     def level_slice(self, n: int) -> slice:
-        s = self._slices.get(n)
-        if s is None:
-            raise ContractViolation(f"generator has no level {n}")
-        return s
+        start = int(self.starts(n))
+        return slice(start, start + int(self.degeneracies(n)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -274,12 +267,11 @@ def measure(state: Ket, dim: int, rng: np.random.Generator):
     return k, posterior, p
 
 
-def fidelity(rho, psi: Ket):
-    """<psi| rho |psi> for a density matrix (or bare matrix) and a pure state;
-    a (..., d, d) stack of matrices gives one value per matrix."""
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    v = psi.amplitudes
-    if m.ndim < 2 or m.shape[-2:] != (v.size, v.size):
+def fidelity(rho: DensityMatrix, psi: Ket):
+    """<psi| rho |psi> for a density matrix and a pure state; a stacked
+    DensityMatrix gives one value per matrix."""
+    m, v = rho.entries, psi.amplitudes
+    if rho.dim != v.size:
         raise ContractViolation(f"dimension mismatch: operator {m.shape} vs ket {v.size}")
     # elementwise sums, so a matrix's value does not depend on the stack it is in
     f = np.real(((m * v).sum(axis=-1) * v.conj()).sum(axis=-1))

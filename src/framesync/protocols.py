@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (NORM_ATOL, ContractViolation, DensityMatrix, Generator, Ket,
-                   RandomSource, _checked_densities, measure, tensor)
+                   RandomSource, measure, tensor)
 from .estimation import (TWO_PI, CostFunction, EstimateDensity, min_joint_cost,
                          sample_estimate)
 from .states import BipartiteFrameState, expand, sector_magnitudes
@@ -220,8 +220,8 @@ def teleport_with_mismatch(input_state: Ket, phi):
         rho = |psi><psi| o K,   K_ij = 1 - (|i - j| / d)(1 - exp(i phi d sgn(j - i))),
 
     that is K = 1 - |l| (1 - cos phi d) + i l sin phi d with l = (j - i) / d.
-    A 1-d array of phases gives the (phases, d, d) stack of outputs, each
-    checked as a DensityMatrix is, in one stacked check.
+    A 1-d array of phases gives one DensityMatrix holding the (phases, d, d)
+    stack of outputs, all checked at once.
     """
     psi = input_state.require_unit(what="input state")
     d = psi.dim
@@ -230,7 +230,7 @@ def teleport_with_mismatch(input_state: Ket, phi):
     theta = d * _phases(phi)[..., None, None]
     kernel = 1.0 - np.abs(lag) * (1.0 - np.cos(theta)) + 1j * lag * np.sin(theta)
     rho = np.outer(a, a.conj()) * kernel
-    return DensityMatrix(rho) if rho.ndim == 2 else _checked_densities(rho)
+    return DensityMatrix(rho)
 
 
 @dataclass(frozen=True)

@@ -254,18 +254,16 @@ def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameSta
 
 
 def expand(state: BipartiteFrameState) -> Ket:
-    """Sector form to a dense ket on the A x B product space."""
+    """Sector form to a dense ket on the A x B product space: slot pair
+    (N - n, l) x (n, l) of each populated sector n carries e_n lam_{n,l}."""
     ga, gb = state.gen_a, state.gen_b
+    secs = [s for s in state.sectors if state.amps[s.level] != 0.0]
+    rank = [s.rank for s in secs]
+    n = np.repeat([s.level for s in secs], rank)
+    l = np.arange(n.size) - np.repeat(np.cumsum(rank) - rank, rank)   # 0-based Schmidt label
+    lam = np.concatenate([s.lam for s in secs])
     psi = np.zeros((ga.dim, gb.dim), dtype=complex)
-    for n in range(state.total + 1):
-        e = state.amps[n]
-        s = state.sector(n)
-        if s is None or e == 0.0:
-            continue
-        sa = ga.level_slice(state.total - n)
-        sb = gb.level_slice(n)
-        for l, lam in enumerate(s.lam):
-            psi[sa.start + l, sb.start + l] = e * lam
+    psi[ga.starts(state.total - n) + l, gb.starts(n) + l] = state.amps[n] * lam
     return Ket(psi.reshape(-1))
 
 
@@ -297,9 +295,9 @@ def sector_magnitudes(e_ket: Ket, gen_a: Generator, gen_b: Generator):
     n_tot = _total_level(e_ket, gen_a, gen_b)
     psi = e_ket.amplitudes.reshape(gen_a.dim, gen_b.dim)
     mags = np.zeros(n_tot + 1)
-    for n in range(n_tot + 1):
-        if not (gen_a.has_level(n_tot - n) and gen_b.has_level(n)):
-            continue
+    levels = np.arange(n_tot + 1)
+    paired = (gen_a.degeneracies(n_tot - levels) > 0) & (gen_b.degeneracies(levels) > 0)
+    for n in np.flatnonzero(paired):
         block = psi[gen_a.level_slice(n_tot - n), gen_b.level_slice(n)]
         mags[n] = np.linalg.norm(block)
     return n_tot, mags

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -195,6 +197,19 @@ def test_render_csv_layout():
     assert lines[3] == "# note: hello"
     assert lines[4] == "x,value"
     assert lines[5] == "row,0.5"
+
+
+@pytest.mark.parametrize("label", ["a,b.json", "a\nb.json", "a\rb.json", 'q"uote.json',
+                                   "plain.json"])
+def test_csv_rows_quote_commas_and_line_breaks(capsys, tmp_path, monkeypatch, label):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / label).write_text(json.dumps({"family": "flat", "N": 3}))
+    code, out, _ = run(capsys, "cost", "--state", label)
+    assert code == 0
+    body = out[out.index("\nstate,") + 1:]
+    header, *rows = csv.reader(io.StringIO(body, newline=""))
+    assert len(rows) == 1 and len(rows[0]) == len(header) == 5 and rows[0][0] == label
+    assert ('"' in body) is (label != "plain.json")   # other rows stay as they were
 
 
 def test_render_json_round_trips():
@@ -504,6 +519,18 @@ def test_sync_sim_range_beyond_the_cap_exits_before_any_trial(capsys, monkeypatc
     assert code == 1 and out == "" and "capped at 64" in err
 
 
+def test_sync_sim_huge_range_exits_before_listing_it(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "monte_carlo_cost", None)   # any trial would raise
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "sync-sim", "--N-range", f"1..{10**12}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == "" and "capped at 64" in err
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("argv", [
     ("--N", "2", "--trials", "1000000000000000"),
     ("--N", "64", "--trials", str(SYNC_WORK_CAP + 1)),
@@ -779,6 +806,16 @@ def test_sync_sim_self_check_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "sync-sim", "--N", "2", "--trials", "200")
     assert code == 2
     assert any("self-check failed" in l for l in out.splitlines())
+
+
+def test_sync_sim_gates_the_sector_form_residual(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sector_form_residual", lambda state: 1e-6)
+    code, out, _ = run(capsys, "sync-sim", "--N", "2", "--trials", "200")
+    assert code == 2
+    assert "# note: self-check failed: sector_form_residual 1.000e-06 exceeds 1e-10" in out
+    monkeypatch.setattr(cli, "sector_form_residual", lambda state: 1e-10)
+    code, out, _ = run(capsys, "sync-sim", "--N", "2", "--trials", "200")
+    assert code == 0 and "self-check" not in out
 
 
 def test_sync_sim_from_degenerate_spec_file(capsys, tmp_path):

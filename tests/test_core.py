@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from framesync import (ContractViolation, DensityMatrix, Generator, Ket,
                        RandomSource, basis_ket, fidelity, ket, measure, tensor)
-from framesync.core import _checked_densities
 
 RT2 = np.sqrt(2.0)
 
@@ -20,6 +19,18 @@ def test_ket_norm_and_normalized():
     u = v.normalized()
     assert u.is_unit()
     np.testing.assert_allclose(u.amplitudes, [0.6, 0.8j], atol=1e-15)
+
+
+@pytest.mark.parametrize("excess, unit", [(0.0, True), (5e-11, True), (-5e-11, True),
+                                          (5e-10, False), (-5e-10, False)])
+def test_is_unit_is_the_require_unit_gate(excess, unit):
+    v = ket([1.0 + excess, 0.0])
+    assert v.is_unit() is unit
+    if unit:
+        assert v.require_unit() is v
+    else:
+        with pytest.raises(ContractViolation, match="must be normalized"):
+            v.require_unit()
 
 
 def test_ket_rejects_bad_shapes():
@@ -78,10 +89,11 @@ def test_stacked_density_checks_find_one_bad_matrix(bad, message):
         stack = np.array([good, good, good], dtype=complex)
         stack[at] = bad
         with pytest.raises(ContractViolation) as stacked:
-            _checked_densities(stack)
+            DensityMatrix(stack)
         assert str(stacked.value) == str(single.value)
-    checked = _checked_densities(np.array([good, good]))
-    assert checked.shape == (2, 2, 2) and not checked.flags.writeable
+    checked = DensityMatrix(np.array([good, good]))
+    assert checked.entries.shape == (2, 2, 2) and checked.dim == 2
+    assert not checked.entries.flags.writeable
 
 
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
@@ -90,27 +102,26 @@ def test_density_checks_reject_nan(where):
     bad[where] = np.nan
     for m in (bad, np.full((2, 2), np.nan), np.array([np.diag([0.5, 0.5]), bad])):
         with pytest.raises(ContractViolation, match="hermitian"):
-            _checked_densities(m)
-    with pytest.raises(ContractViolation):
-        DensityMatrix(np.full((2, 2), np.nan))
+            DensityMatrix(m)
 
 
 def test_generator_degeneracies_match_the_scalar_lookup():
     g = Generator(((-2, 1), (0, 3), (1, 2), (5, 1)))
     levels = np.arange(-4, 8)
     np.testing.assert_array_equal(g.degeneracies(levels),
-                                  [g.degeneracy(int(n)) for n in levels])
-    with pytest.raises(ContractViolation, match="64-bit"):
-        Generator(((0, 1), (2**70, 1)))
+                                  [dict(g.levels).get(int(n), 0) for n in levels])
+    for levels in (((0, 1), (2**70, 1)), ((0, 2**62), (1, 2**62), (2, 1))):
+        with pytest.raises(ContractViolation, match="64-bit"):   # a level or a first slot
+            Generator(levels)
 
 
 def test_fidelity_of_a_stack_is_one_value_per_matrix():
     plus = ket([1.0, 1.0]).normalized()
     stack = np.array([np.diag([1.0, 0.0]), plus.outer(), np.eye(2) / 2])
-    np.testing.assert_allclose(fidelity(stack, plus),
-                               [fidelity(m, plus) for m in stack], atol=1e-15)
-    with pytest.raises(ContractViolation):
-        fidelity(np.zeros((4, 3, 3)), plus)
+    np.testing.assert_allclose(fidelity(DensityMatrix(stack), plus),
+                               [fidelity(DensityMatrix(m), plus) for m in stack], atol=1e-15)
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        fidelity(DensityMatrix(np.broadcast_to(np.eye(3) / 3, (4, 3, 3))), plus)
 
 
 def test_pure_density_normalizes():
@@ -125,10 +136,12 @@ def test_generator_labels_and_lookup():
     assert g.dim == 3
     np.testing.assert_array_equal(g.eigenvalues(), [0, 0, 2])
     assert g.level_slice(0) == slice(0, 2)
-    assert g.level_slice(2) == slice(2, 3) and g.degeneracy(0) == 2
-    assert g.degeneracy(1) == 0 and not g.has_level(1)
-    with pytest.raises(ContractViolation):
-        g.level_slice(1)
+    assert g.level_slice(2) == slice(2, 3)
+    np.testing.assert_array_equal(g.degeneracies([0, 1, 2]), [2, 0, 1])
+    np.testing.assert_array_equal(g.starts([2, 0]), [2, 0])
+    for absent in (lambda: g.level_slice(1), lambda: g.starts([0, 1, 2])):
+        with pytest.raises(ContractViolation, match="no level 1"):
+            absent()
 
 
 def test_generator_rejects_bad_spectra():
@@ -286,9 +299,9 @@ def test_fidelity_frozen_and_validated():
     zero = basis_ket(2, 0)
     plus = ket([1.0, 1.0]).normalized()
     assert fidelity(DensityMatrix.pure(zero), plus) == pytest.approx(0.5, abs=1e-15)
-    assert fidelity(zero.outer(), zero) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(DensityMatrix(zero.outer()), zero) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ContractViolation):
-        fidelity(np.eye(3) / 3.0, zero)
+        fidelity(DensityMatrix(np.eye(3) / 3.0), zero)
 
 
 @settings(max_examples=25)

@@ -367,8 +367,9 @@ def test_teleport_kernel_over_a_phase_grid_matches_the_per_outcome_protocol(d):
     for _ in range(3):
         psi = ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
         stack = teleport_with_mismatch(psi, phis)
-        assert stack.shape == (phis.size, d, d) and not stack.flags.writeable
-        for phi, rho in zip(phis, stack):
+        assert isinstance(stack, DensityMatrix) and stack.dim == d
+        assert stack.entries.shape == (phis.size, d, d) and not stack.entries.flags.writeable
+        for phi, rho in zip(phis, stack.entries):
             np.testing.assert_allclose(rho, _teleport_by_outcome(psi.amplitudes, phi),
                                        atol=1e-12)
 
@@ -380,9 +381,9 @@ def test_teleport_grid_runs_the_density_checks_on_every_phase(monkeypatch):
     with pytest.raises(ContractViolation, match="1-d"):
         teleport_with_mismatch(plus, np.zeros((2, 2)))
     checked = []
-    real = protocols._checked_densities
-    monkeypatch.setattr(protocols, "_checked_densities",
-                        lambda m: checked.append(m.shape) or real(m))
+    real = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: checked.append(np.shape(self.entries)) or real(self))
     teleport_with_mismatch(plus, np.linspace(0.0, 1.0, 7))
     assert checked == [(7, 2, 2)]
 

@@ -213,8 +213,8 @@ def _sector_error(n_tot, gen_a, gen_b, amps, sectors):
     for n, s in by_level.items():
         if not 0 <= n <= n_tot:
             return f"sector level {n} outside 0..{n_tot}"
-        da = gen_a.degeneracy(n_tot - n)
-        db = gen_b.degeneracy(n)
+        da = dict(gen_a.levels).get(n_tot - n, 0)
+        db = dict(gen_b.levels).get(n, 0)
         if da == 0 or db == 0:
             return f"sector {n} needs level {n_tot - n} on side A and level {n} on side B"
         if s.rank > min(da, db):
@@ -276,16 +276,43 @@ def test_frame_state_sector_checks_match_the_loop_reference(inputs):
         assert str(err.value) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(gen=_generators(8), probe=st.lists(st.integers(-2, 10), max_size=12))
+def test_generator_starts_match_a_running_offset(gen, probe):
+    offset, start = 0, {}
+    for n, d in gen.levels:
+        start[n] = offset
+        offset += d
+    assert gen.dim == offset
+    present = [n for n in probe if n in start]
+    np.testing.assert_array_equal(gen.starts(np.array(present, dtype=np.int64)),
+                                  [start[n] for n in present])
+    for n in probe:
+        if n in start:
+            assert gen.starts(n) == start[n]
+            assert gen.level_slice(n) == slice(start[n], start[n] + dict(gen.levels)[n])
+        else:
+            with pytest.raises(ContractViolation, match=f"no level {n}$"):
+                gen.level_slice(n)
+            with pytest.raises(ContractViolation, match=f"no level {n}$"):
+                gen.starts(present + [n])
+
+
 def test_state_validation_makes_no_per_level_lookups(monkeypatch):
     def refuse(self, n):
-        raise AssertionError("per-level degeneracy lookup")
-    monkeypatch.setattr(Generator, "degeneracy", refuse)
+        raise AssertionError("per-level slot lookup")
+    lookups = []
+    real = Generator.degeneracies
+    monkeypatch.setattr(Generator, "level_slice", refuse)
+    monkeypatch.setattr(Generator, "degeneracies",
+                        lambda self, levels: lookups.append(np.size(levels)) or real(self, levels))
     assert flat_state(300).total == 300
     assert optimal_frameness_state(200, likelihood_cost(200)).total == 200
     g = Generator(((0, 2), (1, 2), (2, 2)))
     BipartiteFrameState(2, g, g, np.full(3, 1 / np.sqrt(3)),
                         (SchmidtSector(0, (1.0,)), SchmidtSector(1, (0.6, 0.8)),
                          SchmidtSector(2, (1.0,))))
+    assert lookups == [301, 301, 201, 201, 3, 3]   # one array lookup per side and state
 
 
 def test_frame_state_amps_keep_phases():
@@ -318,12 +345,40 @@ def test_expand_degenerate_frozen_layout():
     np.testing.assert_allclose(psi, want, atol=1e-15)
 
 
+def _expand_by_sector(state):
+    """Loop reference of expand: one sector and one Schmidt label at a time."""
+    ga, gb = state.gen_a, state.gen_b
+    psi = np.zeros((ga.dim, gb.dim), dtype=complex)
+    for n in range(state.total + 1):
+        e = state.amps[n]
+        s = state.sector(n)
+        if s is None or e == 0.0:
+            continue
+        sa = ga.level_slice(state.total - n)
+        sb = gb.level_slice(n)
+        for l, lam in enumerate(s.lam):
+            psi[sa.start + l, sb.start + l] = e * lam
+    return psi.reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n_tot=st.integers(0, 7), max_deg=st.integers(1, 4),
+       zeros=st.lists(st.integers(0, 7), max_size=3))
+def test_expand_matches_the_per_sector_loop_reference(seed, n_tot, max_deg, zeros):
+    s = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
+    amps = s.amps.copy()
+    amps[[z for z in zeros if z <= n_tot]] = 0.0   # unpopulated sectors write nothing
+    if np.linalg.norm(amps) > 0.0:
+        s = BipartiteFrameState(n_tot, s.gen_a, s.gen_b, amps / np.linalg.norm(amps), s.sectors)
+    np.testing.assert_array_equal(expand(s).amplitudes, _expand_by_sector(s))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds, n_tot=st.integers(1, 5), max_deg=st.integers(1, 3))
 def test_expand_gives_total_level_eigenstate(seed, n_tot, max_deg):
     s = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
     psi = expand(s)
-    assert psi.is_unit(1e-10)
+    assert psi.is_unit()
     h = _total_op(s.gen_a, s.gen_b)
     np.testing.assert_allclose(h @ psi.amplitudes, n_tot * psi.amplitudes,
                                atol=1e-10)
