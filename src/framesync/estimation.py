@@ -169,14 +169,16 @@ def _seed_weights(e, cost: CostFunction):
 
     Returns (c0, H) with H strictly upper triangular,
     H[n, n+q] = c_q conj(e_n) e_{n+q}, so that the seed with phases theta
-    has average cost c0 + Re(u^dagger H u), u = exp(i theta).
+    has average cost c0 + Re(u^dagger H u), u = exp(i theta).  One gather
+    band[n' - n] above the diagonal, then (c_q conj(e_n)) e_{n+q}.
     """
     e = np.asarray(e, dtype=complex)
-    h = np.zeros((e.size, e.size), dtype=complex)
-    rows = np.arange(e.size)
-    for q, c in enumerate(cost.cq[:e.size - 1], start=1):
-        h[rows[:-q], rows[q:]] = c * e[:-q].conj() * e[q:]
-    return cost.c0, h
+    cq = cost.cq[:e.size - 1]
+    band = np.zeros(e.size)
+    band[1:len(cq) + 1] = cq
+    levels = np.arange(e.size)
+    coeffs = np.triu(band[np.abs(levels - levels[:, None])], 1)
+    return cost.c0, coeffs * e.conj()[:, None] * e
 
 
 def _grid_search(c0, h, grid_points):
@@ -197,14 +199,70 @@ def _grid_search(c0, h, grid_points):
     return float(vals[k]), np.concatenate(([0.0], theta[:, k]))
 
 
+def _newton_polish(c0, h, sym, theta):
+    """Newton steps on theta_1..theta_N from theta, with theta_0 = 0 fixed.
+
+    With W = H + H^dagger and a = conj(u) (W u), the gradient is Im(a) and
+    the Hessian is the weighted graph Laplacian Re(conj(u_k) W_kl u_l) -
+    diag(Re a).  Where Cholesky finds it not positive definite (a saddle
+    region, zero weights, or a band whose levels split into decoupled sets,
+    each with its own free gauge), its diagonal is shifted so that its
+    Gershgorin lower bound rises to at least max |gradient| > 0, so a step
+    always exists.  A step is accepted only through backtracking that does not
+    raise the cost.  Stops on 50 steps, a zero or empty gradient, a failed
+    backtrack, a shifted Hessian still singular, a step that overflows, or a
+    gain below 1e-15.
+    Returns (value, theta) with theta in [0, 2 pi).
+    """
+    u = np.exp(1j * theta)
+    current = c0 + (u.conj() @ (h @ u)).real
+    free = np.arange(h.shape[0] - 1)
+    for _ in range(50):
+        a = u.conj() * (sym @ u)
+        grad = a.imag[1:]
+        if not grad.any():
+            break
+        hess = (u[1:, None].conj() * sym[1:, 1:] * u[1:]).real
+        hess[free, free] -= a.real[1:]
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            diag = hess[free, free]
+            deficit = np.abs(hess).sum(axis=1) - np.abs(diag) - diag   # off-diagonal row sum - diagonal
+            hess[free, free] += max(deficit.max(), 0.0) + np.abs(grad).max()
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:   # singular even shifted: the gradient is at rounding level
+            break
+        if not np.isfinite(step).all():   # weights near the underflow limit overflow the step
+            break
+        for t in 0.5 ** np.arange(30):
+            trial = np.concatenate(([0.0], (theta[1:] + t * step) % TWO_PI))
+            trial_u = np.exp(1j * trial)
+            new = c0 + (trial_u.conj() @ (h @ trial_u)).real
+            if new <= current:
+                break
+        else:
+            break
+        gain = current - new
+        theta, u, current = trial, trial_u, new
+        if gain < 1e-15:
+            break
+    return current, theta
+
+
 def _coordinate_descent(c0, h, rng):
-    """Cyclic exact line search from random restarts.
+    """Three sweeps of cyclic exact line search, then Newton steps, from
+    ``RESTARTS`` random restarts.
 
     Restricted to one coordinate theta_n, the objective collapses to the
     single sinusoid Re(exp(-i theta_n) g) with g = ((H + H^dagger) u)_n, so
-    each update jumps straight to the continuous minimizer
-    theta_n = pi + arg g; restarts guard against the rare non-global
-    critical point.  The restarts draw from the numpy Generator ``rng``.
+    each sweep update jumps straight to the continuous minimizer
+    theta_n = pi + arg g.  The sweeps bring a restart into a basin; the
+    Newton steps of ``_newton_polish`` then converge to its minimum to
+    rounding.  Restarts guard against the rare non-global critical point and
+    draw from the numpy Generator ``rng``.  Returns (value, theta) of the
+    best restart, theta_0 = 0.
     """
     n_levels = h.shape[0]
     sym = h + h.conj().T
@@ -213,21 +271,16 @@ def _coordinate_descent(c0, h, rng):
     for _ in range(RESTARTS):
         theta = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, size=n_levels - 1)))
         u = np.exp(1j * theta)
-        current = c0 + (u.conj() @ (h @ u)).real
-        for _ in range(500):
+        for _ in range(3):
             for n in range(1, n_levels):
                 g = sym[n] @ u
                 if abs(g) > 0.0:
                     theta[n] = (math.pi + math.atan2(g.imag, g.real)) % TWO_PI
                     u[n] = complex(math.cos(theta[n]), math.sin(theta[n]))
-            new = c0 + (u.conj() @ (h @ u)).real
-            if current - new < 1e-14:
-                current = new
-                break
-            current = new
+        current, theta = _newton_polish(c0, h, sym, theta)
         if current < best_val:
             best_val = float(current)
-            best = theta.copy()
+            best = theta
     return best_val, best
 
 
@@ -236,10 +289,11 @@ def brute_force_min_cost(e, cost: CostFunction, *,
     """Search covariant rank-one seeds for the minimum average cost.
 
     Up to 2 free phases the search is exhaustive on ``GRID_POINTS`` per
-    phase; beyond, it is coordinate descent with exact line search from
-    ``RESTARTS`` random starts drawn from the numpy Generator ``rng`` (default
-    ``RandomSource(0).generator()``).
-    Returns the best value found.
+    phase; beyond, each of ``RESTARTS`` random starts drawn from the numpy
+    Generator ``rng`` (default ``RandomSource(0).generator()``) takes three
+    sweeps of coordinate descent with exact line search, then Newton steps
+    with a Gershgorin shift and backtracking.  It uses no eigensolver and no
+    closed form.  Returns the best value found, the cost of a real seed.
     """
     free = _magnitudes(e).size - 1  # validates normalization
     c0, h = _seed_weights(e, cost)

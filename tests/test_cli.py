@@ -252,6 +252,26 @@ def test_cost_oracle_cells_are_plain_numbers(capsys):
     assert abs(float(rows[0][-1])) < 1e-3
 
 
+@pytest.mark.parametrize("n_tot", ["5", "30"])
+def test_cost_oracle_on_a_decoupled_band(capsys, tmp_path, n_tot):
+    spec = tmp_path / "even.json"
+    spec.write_text(json.dumps({"cq": [0, -1]}))
+    code, out, _ = run(capsys, "cost", "--state", "optimal", "--N", n_tot,
+                       "--cost", str(spec), "--oracle")
+    assert code == 0
+    _, rows = data_rows(out)
+    assert abs(float(rows[0][-1])) <= 1e-12
+
+
+def test_cost_oracle_reaches_the_likelihood_optimum_at_n512(capsys):
+    # 500 sweeps per restart used to stop 2.6e-4 above the optimum here
+    code, out, _ = run(capsys, "cost", "--state", "optimal", "--N", "512",
+                       "--cost", "likelihood", "--oracle")
+    assert code == 0
+    _, rows = data_rows(out)
+    assert abs(float(rows[0][-1])) <= 1e-12
+
+
 def test_cost_likelihood_default_qmax(capsys):
     code, out, _ = run(capsys, "cost", "--state", "flat", "--N", "8",
                        "--cost", "likelihood")

@@ -405,3 +405,99 @@ def test_covariant_seed_gauge():
         for method in ("grid", "descent"):
             _, theta = _seed_search(e, variance_cost(), method, rng=RandomSource(1).generator())
             assert theta.shape == (len(e),) and theta[0] == 0.0
+
+
+def _seed_weights_loop(e, cost):
+    """The weight matrix one band q at a time, the reference for the broadcast."""
+    e = np.asarray(e, dtype=complex)
+    h = np.zeros((e.size, e.size), dtype=complex)
+    rows = np.arange(e.size)
+    for q, c in enumerate(cost.cq[:e.size - 1], start=1):
+        h[rows[:-q], rows[q:]] = c * e[:-q].conj() * e[q:]
+    return cost.c0, h
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 7, 16])
+def test_seed_weights_match_the_loop_reference(n_levels):
+    gen = np.random.default_rng(n_levels)
+    e = _random_profile(300 + n_levels, n_levels)
+    e[gen.random(n_levels) < 0.3] = 0.0
+    costs = (variance_cost(), likelihood_cost(2), likelihood_cost(n_levels + 3),
+             CostFunction(0.5, (0.0, -1.0, -0.25)))
+    for cost in costs:
+        c0, h = _seed_weights(e, cost)
+        want_c0, want = _seed_weights_loop(e, cost)
+        assert c0 == want_c0
+        assert np.array_equal(h, want)
+
+
+def _gap(e, cost, seed):
+    return brute_force_min_cost(e, cost, rng=RandomSource(seed).generator()) - min_joint_cost(e, cost)
+
+
+@pytest.mark.parametrize("e", [[1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+                               [0.6, 0.0, 0.0, 0.8j, 0.0], [0.0, 0.6, 0.0, 0.0, -0.8]],
+                         ids=["one-level", "middle-only", "single-sector", "zeroed-a", "zeroed-b"])
+def test_descent_handles_levels_without_weight(e):
+    # an empty or zero gradient, and zero rows of the Hessian, end or shift
+    # the Newton step instead of raising
+    for cost in (variance_cost(), likelihood_cost(4), CostFunction(0.0, (0.0, -1.0))):
+        val, theta = _seed_search(e, cost, "descent", rng=RandomSource(4).generator())
+        assert theta.shape == (len(e),) and theta[0] == 0.0
+        assert np.isfinite(theta).all()
+        assert val == pytest.approx(_explicit_seed_cost(np.asarray(e, dtype=complex), cost, theta),
+                                    abs=1e-12)
+        assert abs(val - min_joint_cost(e, cost)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_tot", [30, 34])
+def test_descent_reaches_the_variance_optimum_at_n30_and_n34(n_tot):
+    # the sweeps alone stopped up to 2.4e-4 above the optimum on these seeds
+    e = optimal_frameness_state(n_tot, variance_cost()).amps
+    for seed in range(8):
+        assert abs(_gap(e, variance_cost(), seed)) <= 1e-12
+
+
+def test_descent_reaches_the_optimum_of_a_decoupled_band():
+    # c_2 alone couples even levels to even and odd to odd: the odd set has
+    # its own free gauge, so the reduced Hessian is singular at every point
+    cost = CostFunction(0.0, (0.0, -1.0))
+    for n_tot in (5, 30):
+        e = optimal_frameness_state(n_tot, cost).amps
+        assert abs(_gap(e, cost, 0)) <= 1e-12
+
+
+def test_descent_survives_weights_near_the_underflow_limit():
+    # products of amplitudes this small are subnormal, which let a Newton
+    # step overflow to inf on some of these seeds
+    e = 10.0 ** np.array([-15.0, -223.0, -55.0, 0.0, -269.0, -174.0, -92.0]) * np.exp(1j * np.arange(7))
+    e /= np.linalg.norm(e)
+    for seed in range(8):
+        assert abs(_gap(e, variance_cost(), seed)) <= 1e-12
+
+def _profile_and_cost(seed, n_levels, kind, zero_frac):
+    gen = np.random.default_rng(seed)
+    amps = gen.normal(size=n_levels) + 1j * gen.normal(size=n_levels)
+    amps[gen.random(n_levels) < zero_frac] = 0.0
+    if not amps.any():
+        amps[0] = 1.0
+    if kind == "variance":
+        cost = variance_cost()
+    elif kind == "likelihood":
+        cost = likelihood_cost(int(gen.integers(1, n_levels + 2)))
+    else:
+        cq = -gen.uniform(0.0, 2.0, size=gen.integers(1, n_levels + 2))
+        cq[gen.random(cq.size) < zero_frac] = 0.0
+        cost = CostFunction(gen.normal(), tuple(cq))
+    return amps / np.linalg.norm(amps), cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n_levels=st.integers(4, 16),
+       kind=st.sampled_from(["variance", "likelihood", "random"]),
+       zero_frac=st.sampled_from([0.0, 0.25, 0.5]))
+def test_descent_reaches_the_optimum_of_random_profiles(seed, n_levels, kind, zero_frac):
+    e, cost = _profile_and_cost(seed, n_levels, kind, zero_frac)
+    want = min_joint_cost(e, cost)
+    got = brute_force_min_cost(e, cost, rng=RandomSource(seed).generator())
+    assert want - 1e-12 <= got <= want + 1e-10
