@@ -16,7 +16,7 @@ from .protocols import (GroupTable, SyncProtocol, WitnessReport, alice_measure,
                         finite_group_align, frameness, frameness_of_ket,
                         monte_carlo_cost, no_go_witness, si_teleport,
                         teleport_with_mismatch)
-from .states import (BipartiteFrameState, NotInvariantState, SchmidtSector,
+from .states import (BipartiteFrameState, NotInvariantState,
                      expand, flat_state, optimal_frameness_state,
                      sector_magnitudes, sine_state, single_sector_state)
 

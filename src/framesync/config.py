@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import NORM_ATOL, ContractViolation, Generator, Ket
 from .estimation import CostFunction, likelihood_cost, variance_cost
-from .states import (BipartiteFrameState, SchmidtSector, expand, flat_state,
+from .states import (BipartiteFrameState, expand, flat_state,
                      optimal_frameness_state, sine_state, single_sector_state)
 
 FAMILIES = ("flat", "sine-paper", "optimal", "single-sector")
@@ -199,16 +199,19 @@ def frame_state_from_spec(spec, n: int | None, cost_spec,
     if not isinstance(d["sectors"], list):
         raise UsageError("state sectors must be a list")
     amps = np.zeros(n_tot + 1, dtype=complex)
-    sectors = []
+    lams = {}
     for entry in d["sectors"]:
         if not isinstance(entry, dict) or "n" not in entry or "e" not in entry:
             raise UsageError("each sector needs fields 'n' and 'e'")
         level = _typed(entry["n"], "sector n", lo=0, hi=n_tot)
+        if level in lams:
+            raise UsageError(f"invalid state spec: duplicate sector level {level}")
         amps[level] = _amplitude(entry["e"], f"sector {level} amplitude")
-        lam = _numbers(entry.get("lambdas", [1.0]), f"sector {level} lambdas")
-        sectors.append(SchmidtSector(level, lam))
+        lams[level] = _numbers(entry.get("lambdas", [1.0]), f"sector {level} lambdas")
+    ranks = [len(lams.get(n, ())) for n in range(n_tot + 1)]
     try:
-        return BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
+        return BipartiteFrameState(n_tot, gen_a, gen_b, amps, ranks,
+                                   [x for n in sorted(lams) for x in lams[n]])
     except ContractViolation as exc:
         raise UsageError(f"invalid state spec: {exc}")
 

@@ -10,7 +10,6 @@ array positions.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,56 +114,64 @@ class DensityMatrix:
         return cls(psi.normalized().outer())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Integer-spectrum observable given as (eigenvalue, degeneracy) levels.
 
     Levels are sorted strictly increasing.  The induced basis ordering is by
     level, then by 1-based degeneracy index, so level ``n`` occupies the
     basis slots ``level_slice(n)``, from ``starts(n)`` on.  One read-only
-    table of eigenvalues, degeneracies and first slots answers every lookup.
+    table of eigenvalues, degeneracies and first slots answers every lookup;
+    ``levels`` is its (L, 2) view of eigenvalue, degeneracy rows.
     """
 
-    levels: tuple
+    levels: np.ndarray
 
     def __post_init__(self):
         try:
-            lv = tuple((int(n), int(d)) for n, d in self.levels)
-        except (TypeError, ValueError) as exc:
-            raise ContractViolation(f"levels must be (eigenvalue, degeneracy) pairs: {exc}")
-        if not lv:
-            raise ContractViolation("generator needs at least one level")
-        for n, d in lv:
-            if d < 1:
-                raise ContractViolation(f"degeneracy must be >= 1, got {d} at level {n}")
-        if any(b <= a for (a, _), (b, _) in zip(lv, lv[1:])):
-            raise ContractViolation("eigenvalues must be strictly increasing")
-        object.__setattr__(self, "levels", lv)
-        try:   # the level table: rows eigenvalue, degeneracy, first basis slot
-            eigs, degs = np.array(list(zip(*lv)), dtype=object)   # slot sums cannot wrap
-            table = _frozen_array((eigs, degs, np.cumsum(degs) - degs), np.int64)
+            lv = np.array(self.levels, dtype=np.int64)
         except OverflowError:
             raise ContractViolation("levels and degeneracies must fit in 64-bit integers")
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"levels must be (eigenvalue, degeneracy) pairs: {exc}")
+        if lv.size == 0:
+            raise ContractViolation("generator needs at least one level")
+        if lv.ndim != 2 or lv.shape[1] != 2:
+            raise ContractViolation(
+                f"levels must be (eigenvalue, degeneracy) pairs, got shape {lv.shape}")
+        eigs, degs = lv.T
+        empty = np.flatnonzero(degs < 1)
+        if empty.size:
+            raise ContractViolation(
+                f"degeneracy must be >= 1, got {degs[empty[0]]} at level {eigs[empty[0]]}")
+        if (eigs[1:] <= eigs[:-1]).any():
+            raise ContractViolation("eigenvalues must be strictly increasing")
+        ends = np.cumsum(degs)   # each term is below 2^63, so a sum that wraps turns negative
+        if (ends < 0).any():
+            raise ContractViolation("levels and degeneracies must fit in 64-bit integers")
+        # the level table: rows eigenvalue, degeneracy, first basis slot
+        table = _frozen_array((eigs, degs, ends - degs), np.int64)
+        object.__setattr__(self, "levels", table[:2].T)
         object.__setattr__(self, "_table", table)
 
     @staticmethod
     def ladder(dim: int) -> "Generator":
-        """Nondegenerate spectrum 0, 1, ..., dim-1; one shared instance per dim."""
+        """Nondegenerate spectrum 0, 1, ..., dim-1."""
         if dim < 1:
             raise ContractViolation("ladder needs dim >= 1")
-        return _ladder(dim)
+        return Generator(np.stack((np.arange(dim), np.ones(dim, dtype=np.int64)), axis=1))
 
     @property
     def dim(self) -> int:
-        return sum(d for _, d in self.levels)
+        return int(self._table[1, -1] + self._table[2, -1])
 
     @property
     def min_level(self) -> int:
-        return self.levels[0][0]
+        return int(self._table[0, 0])
 
     @property
     def max_level(self) -> int:
-        return self.levels[-1][0]
+        return int(self._table[0, -1])
 
     def eigenvalues(self) -> np.ndarray:
         """Per-basis-slot eigenvalue, degeneracies expanded."""
@@ -193,12 +200,6 @@ class Generator:
     def level_slice(self, n: int) -> slice:
         start = int(self.starts(n))
         return slice(start, start + int(self.degeneracies(n)))
-
-
-@functools.lru_cache(maxsize=128)
-def _ladder(dim: int) -> Generator:
-    """Built and checked once per dim; sharing is safe as Generator is frozen."""
-    return Generator(tuple((n, 1) for n in range(dim)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .core import (NORM_ATOL, ContractViolation, DensityMatrix, Generator, Ket,
                    RandomSource, measure, tensor)
 from .estimation import (TWO_PI, CostFunction, EstimateDensity, min_joint_cost,
                          sample_estimate)
-from .states import BipartiteFrameState, expand, sector_magnitudes
+from .states import BipartiteFrameState, _slot_pairs, expand, sector_magnitudes
 
 SUPPORT_ATOL = 1e-12   # amplitude threshold for level supports
 TRIAL_BLOCK = 1024     # Monte Carlo trials per derived RNG stream
@@ -76,12 +76,7 @@ def sector_form_residual(state: BipartiteFrameState) -> float:
     """
     ga, gb = state.gen_a, state.gen_b
     _, bob = alice_measure(state)
-    # populated slot pairs: sector n, 0-based Schmidt label l, lam_{n,l}
-    secs = [sec for sec in state.sectors if state.amps[sec.level] != 0.0]
-    rank = [sec.rank for sec in secs]
-    n = np.repeat([sec.level for sec in secs], rank)
-    lam = np.concatenate([sec.lam for sec in secs])
-    l = np.arange(n.size) - np.repeat(np.cumsum(rank) - rank, rank)
+    n, l, lam = _slot_pairs(state)
     slots = np.searchsorted(gb.eigenvalues(), n) + l
     s = np.searchsorted(ga.eigenvalues(), state.total - n) + l
     k = np.arange(ga.dim)[:, None]

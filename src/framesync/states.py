@@ -7,14 +7,15 @@ sectors n = 0..N, where sector n lives on Alice level N-n and Bob level n:
     |E> = sum_n e_n |E_n>,   |E_n> = sum_l lam_{n,l} |N-n, l>_A |n, l>_B
 
 with per-sector Schmidt coefficients lam paired through the degeneracy labels
-of the two generators.  Degenerate sectors are built only through explicit
-:class:`SchmidtSector` input; there is deliberately no random-state helper
-here, so the rank bookkeeping (rank r_n at most the smaller degeneracy) stays
-visible at every call site.
+of the two generators.  A state holds this data as arrays: the Schmidt rank
+r_n of each sector (0 where it has none) and one flat array of every
+sector's coefficients in level order.  Degenerate sectors are built only
+from explicit (ranks, lam) input; there is deliberately no random-state
+helper here, so the rank bookkeeping (r_n at most the smaller degeneracy)
+stays visible at every call site.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,45 +33,24 @@ class NotInvariantState(ContractViolation):
     """Raised when a ket is not an eigenstate of the total generator."""
 
 
-@dataclass(frozen=True)
-class SchmidtSector:
-    """One fixed-level-sum sector: level n on Bob's side plus paired
-    Schmidt coefficients, nonnegative with unit sum of squares."""
-
-    level: int
-    lam: tuple
-
-    def __post_init__(self):
-        lam = tuple(float(x) for x in self.lam)
-        if not lam:
-            raise ContractViolation("sector needs at least one Schmidt coefficient")
-        if any(x < 0.0 or not np.isfinite(x) for x in lam):
-            raise ContractViolation("Schmidt coefficients must be finite and nonnegative")
-        if abs(sum(x * x for x in lam) - 1.0) > SECTOR_ATOL:
-            raise ContractViolation(
-                f"sector {self.level}: Schmidt coefficients must have unit sum of squares")
-        object.__setattr__(self, "level", int(self.level))
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def rank(self) -> int:
-        return len(self.lam)
-
-
 @dataclass(frozen=True, eq=False)
 class BipartiteFrameState:
     """Sector-form state: amplitudes e_n for n = 0..total plus sector data.
 
     ``amps[n]`` multiplies sector n (Bob level n, Alice level total-n).
-    Every sector with nonzero amplitude must come with Schmidt data, and its
-    rank is capped by the smaller of the two level degeneracies.
+    ``ranks[n]`` is sector n's Schmidt rank, 0 where it has no Schmidt data,
+    and ``lam`` holds every sector's coefficients in level order, each
+    sector's nonnegative with unit sum of squares.  Every sector with nonzero
+    amplitude must have Schmidt data, and its rank is capped by the smaller
+    of the two level degeneracies.
     """
 
     total: int
     gen_a: Generator
     gen_b: Generator
     amps: np.ndarray
-    sectors: tuple
+    ranks: np.ndarray
+    lam: np.ndarray
 
     def __post_init__(self):
         n_tot = int(self.total)
@@ -84,77 +64,74 @@ class BipartiteFrameState:
                 f"amplitudes must have one entry per sector 0..{n_tot}, got shape {amps.shape}")
         if not abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= SECTOR_ATOL:   # NaN fails
             raise ContractViolation("sector amplitudes must have unit sum of squares")
+        ranks = np.asarray(self.ranks)
+        if ranks.shape != (n_tot + 1,) or ranks.dtype.kind not in "iu" or (ranks < 0).any():
+            raise ContractViolation(
+                f"ranks must be one nonnegative integer per sector 0..{n_tot}")
+        ranks = _frozen_array(ranks, np.int64)
+        lam = np.asarray(self.lam, dtype=float)
+        if lam.shape != (int(ranks.sum()),):
+            raise ContractViolation(
+                f"lam must hold the {int(ranks.sum())} coefficients the ranks ask for, "
+                f"got shape {lam.shape}")
 
-        sectors = tuple(self.sectors)
-        levels = [s.level if isinstance(s, SchmidtSector) else None for s in sectors]
-        by_level = dict(zip(levels, sectors))
-        if len(by_level) < len(sectors) or None in by_level:
-            _raise_first_sector_fault(levels)
-
-        # per sector, in input order: level, rank, degeneracies on both sides
-        try:
-            n = np.array(levels, dtype=np.int64)
-        except OverflowError:   # beyond int64 is outside 0..n_tot all the same
-            n = np.clip(np.array(levels, dtype=object), -1, n_tot + 1).astype(np.int64)
-        rank = np.array([s.rank for s in sectors], dtype=np.int64)
-        outside = (n < 0) | (n > n_tot)
+        # one row per fault, one column per sector; the first faulty sector
+        # reports its first fault, as a scan over n = 0..total would
+        n = np.arange(n_tot + 1)
+        owner = np.repeat(n, ranks)
+        with np.errstate(over="ignore"):   # a huge lam squares to inf and fails below
+            negative = np.bincount(owner, ~(np.isfinite(lam) & (lam >= 0.0)), n_tot + 1)
+            sum_sq = np.bincount(owner, lam * lam, n_tot + 1)
         da = self.gen_a.degeneracies(n_tot - n)
         db = self.gen_b.degeneracies(n)
-        unpaired = (da == 0) | (db == 0)
-        too_wide = rank > np.minimum(da, db)
-        bad = np.flatnonzero(outside | unpaired | too_wide)
+        held = ranks > 0
+        faults = np.stack((held & (negative > 0),
+                           held & ~(np.abs(sum_sq - 1.0) <= SECTOR_ATOL),
+                           held & ((da == 0) | (db == 0)),
+                           ranks > np.minimum(da, db),
+                           ~held & (np.abs(amps) > SECTOR_ATOL)))
+        bad = np.flatnonzero(faults.any(axis=0))
         if bad.size:
-            i = bad[0]
-            level, cap = levels[i], int(min(da[i], db[i]))
-            if outside[i]:
-                raise ContractViolation(f"sector level {level} outside 0..{n_tot}")
-            if unpaired[i]:
-                raise ContractViolation(
-                    f"sector {level} needs level {n_tot - level} on side A and level {level} on side B")
-            raise ContractViolation(
-                f"sector {level}: rank {int(rank[i])} exceeds min degeneracy {cap}")
-        covered = np.zeros(n_tot + 1, dtype=bool)
-        covered[n] = True
-        missing = np.flatnonzero((np.abs(amps) > SECTOR_ATOL) & ~covered)
-        if missing.size:
-            raise ContractViolation(
-                f"nonzero amplitude at sector {missing[0]} without Schmidt data")
+            k = bad[0]
+            raise ContractViolation((
+                f"sector {k}: Schmidt coefficients must be finite and nonnegative",
+                f"sector {k}: Schmidt coefficients must have unit sum of squares",
+                f"sector {k} needs level {n_tot - k} on side A and level {k} on side B",
+                f"sector {k}: rank {ranks[k]} exceeds min degeneracy {min(da[k], db[k])}",
+                f"nonzero amplitude at sector {k} without Schmidt data",
+            )[np.argmax(faults[:, k])])
 
         object.__setattr__(self, "total", n_tot)
         object.__setattr__(self, "amps", _frozen_array(amps, complex))
-        object.__setattr__(self, "sectors", sectors)
-        object.__setattr__(self, "_by_level", by_level)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "lam", _frozen_array(lam, float))
 
-    def sector(self, n: int) -> SchmidtSector | None:
-        return self._by_level.get(n)
+    def sector(self, n: int) -> np.ndarray | None:
+        """Read-only view of sector n's Schmidt coefficients; None without data."""
+        if not 0 <= n <= self.total or self.ranks[n] == 0:
+            return None
+        start = int(self.ranks[:n].sum())
+        return self.lam[start:start + self.ranks[n]]
 
     def magnitudes(self) -> np.ndarray:
         """|e_n| for n = 0..total; all a joint measurement can use."""
         return np.abs(self.amps)
 
 
-def _raise_first_sector_fault(levels: list) -> None:
-    """Raise the error an in-order scan of the sector levels meets first: a
-    value that is not a SchmidtSector (level None) or a repeated level."""
-    seen = set()
-    for level in levels:
-        if level is None:
-            raise ContractViolation("sectors must be SchmidtSector values")
-        if level in seen:
-            raise ContractViolation(f"duplicate sector level {level}")
-        seen.add(level)
-
-
-@functools.lru_cache(maxsize=1024)
-def _unit_sector(level: int) -> SchmidtSector:
-    """The rank-one sector at ``level``, validated once and shared."""
-    return SchmidtSector(level, (1.0,))
+def _slot_pairs(state: BipartiteFrameState) -> tuple:
+    """(n, l, lam_{n,l}) of every Schmidt pair of a populated sector, in
+    level order: sector n, 0-based Schmidt label l and its coefficient."""
+    ranks = state.ranks
+    n = np.repeat(np.arange(state.total + 1), ranks)
+    l = np.arange(n.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
+    populated = state.amps[n] != 0.0
+    return n[populated], l[populated], state.lam[populated]
 
 
 def _nondegenerate_state(n_tot: int, amps) -> BipartiteFrameState:
     g = Generator.ladder(n_tot + 1)
-    sectors = tuple(_unit_sector(n) for n in range(n_tot + 1))
-    return BipartiteFrameState(n_tot, g, g, np.asarray(amps, dtype=complex), sectors)
+    return BipartiteFrameState(n_tot, g, g, amps, np.ones(n_tot + 1, dtype=np.int64),
+                               np.ones(n_tot + 1))
 
 
 def flat_state(n_tot: int) -> BipartiteFrameState:
@@ -187,10 +164,7 @@ def single_sector_state(n_tot: int, level: int = 0) -> BipartiteFrameState:
     """All weight on one sector; carries no phase information at all."""
     if not 0 <= level <= n_tot:
         raise ContractViolation(f"sector level {level} outside 0..{n_tot}")
-    amps = np.zeros(n_tot + 1, dtype=complex)
-    amps[level] = 1.0
-    g = Generator.ladder(n_tot + 1)
-    return BipartiteFrameState(n_tot, g, g, amps, (SchmidtSector(level, (1.0,)),))
+    return _nondegenerate_state(n_tot, np.arange(n_tot + 1) == level)   # one-hot profile
 
 
 def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameState:
@@ -257,11 +231,7 @@ def expand(state: BipartiteFrameState) -> Ket:
     """Sector form to a dense ket on the A x B product space: slot pair
     (N - n, l) x (n, l) of each populated sector n carries e_n lam_{n,l}."""
     ga, gb = state.gen_a, state.gen_b
-    secs = [s for s in state.sectors if state.amps[s.level] != 0.0]
-    rank = [s.rank for s in secs]
-    n = np.repeat([s.level for s in secs], rank)
-    l = np.arange(n.size) - np.repeat(np.cumsum(rank) - rank, rank)   # 0-based Schmidt label
-    lam = np.concatenate([s.lam for s in secs])
+    n, l, lam = _slot_pairs(state)
     psi = np.zeros((ga.dim, gb.dim), dtype=complex)
     psi[ga.starts(state.total - n) + l, gb.starts(n) + l] = state.amps[n] * lam
     return Ket(psi.reshape(-1))

@@ -5,7 +5,7 @@ no module-level randomness.
 """
 import numpy as np
 
-from framesync import BipartiteFrameState, Generator, SchmidtSector
+from framesync import BipartiteFrameState, Generator
 
 
 def random_unit(gen, n, complex_valued=True):
@@ -26,14 +26,14 @@ def random_frame_state(gen, n_tot, max_deg=1):
     gen_a = Generator(tuple((n, int(degs_a[n])) for n in range(n_tot + 1)))
     gen_b = Generator(tuple((n, int(degs_b[n])) for n in range(n_tot + 1)))
     amps = random_unit(gen, n_tot + 1)
-    sectors = []
+    ranks, lams = [], []
     for n in range(n_tot + 1):
         cap = int(min(degs_a[n_tot - n], degs_b[n]))
         rank = int(gen.integers(1, cap + 1))
         lam = np.abs(gen.normal(size=rank)) + 0.1   # bounded away from zero
-        lam = lam / np.linalg.norm(lam)
-        sectors.append(SchmidtSector(n, tuple(float(x) for x in lam)))
-    return BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
+        ranks.append(rank)
+        lams.append(lam / np.linalg.norm(lam))
+    return BipartiteFrameState(n_tot, gen_a, gen_b, amps, ranks, np.concatenate(lams))
 
 
 def haar_unitary(gen, d):

@@ -125,7 +125,7 @@ def test_criterion_04_degenerate_conditional_states():
                     sec = state.sector(n)
                     sa = ga.level_slice(n_tot - n)
                     sb = gb.level_slice(n)
-                    for l, lam in enumerate(sec.lam):
+                    for l, lam in enumerate(sec):
                         predicted[sb.start + l] = (
                             state.amps[n]
                             * lam

@@ -81,7 +81,7 @@ def test_frame_state_from_explicit_spec():
     }
     s = frame_state_from_spec(spec, None, None)
     np.testing.assert_allclose(s.magnitudes(), [0.8, 0.6], atol=1e-15)
-    assert s.sector(0).lam == (0.6, 0.8)
+    assert s.sector(0).tolist() == [0.6, 0.8]
     with pytest.raises(UsageError):
         frame_state_from_spec({"N": 1}, None, None)     # missing fields
 
@@ -818,6 +818,37 @@ def test_nan_sector_amplitudes_exit_one(capsys, tmp_path, sectors):
     assert code == 1 and out == ""
     assert err.startswith(("frame-sync: invalid input: ", "frame-sync: error: "))
     assert len(err.strip().splitlines()) == 1
+
+
+def _sectors_spec(sectors, gen_b=_LADDER2):
+    return {"N": 1, "generatorA": _LADDER2, "generatorB": gen_b, "sectors": sectors}
+
+
+@pytest.mark.parametrize("spec, stderr", [
+    (_sectors_spec([{"n": 0, "e": 1.0}, {"n": 0, "e": 1.0}]),
+     "error: invalid state spec: duplicate sector level 0"),
+    (_sectors_spec([{"n": 1, "e": 1.0}], gen_b=[[0, 1]]),
+     "error: invalid state spec: sector 1 needs level 0 on side A and level 1 on side B"),
+    (_sectors_spec([{"n": 0, "e": 1.0, "lambdas": [0.6, 0.8]}]),
+     "error: invalid state spec: sector 0: rank 2 exceeds min degeneracy 1"),
+    (_sectors_spec([{"n": 0, "e": 1.0, "lambdas": []}]),
+     "error: invalid state spec: nonzero amplitude at sector 0 without Schmidt data"),
+    (_sectors_spec([{"n": 0, "e": 1.0, "lambdas": [-1.0]}]),
+     "error: invalid state spec: sector 0: Schmidt coefficients must be finite and nonnegative"),
+    (_sectors_spec([{"n": 0, "e": 1.0, "lambdas": [math.nan]}]),
+     "error: invalid state spec: sector 0: Schmidt coefficients must be finite and nonnegative"),
+    (_sectors_spec([{"n": 0, "e": 1.0, "lambdas": [0.5]}]),
+     "error: invalid state spec: sector 0: Schmidt coefficients must have unit sum of squares"),
+    (_sectors_spec([{"n": 0, "e": 0.5}]),
+     "error: invalid state spec: sector amplitudes must have unit sum of squares"),
+], ids=["duplicate-n", "unpaired", "rank", "lambdas-empty", "lambdas-negative",
+        "lambdas-nan", "lambdas-non-unit", "e-non-unit"])
+def test_sector_faults_in_a_spec_file_exit_one(capsys, tmp_path, spec, stderr):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "cost", "--state", str(path))
+    assert code == 1 and out == ""
+    assert err == f"frame-sync: {stderr}\n"
 
 
 def test_sync_sim_self_check_exit_code(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framesync import (BipartiteFrameState, ContractViolation, DensityMatrix, Generator,
-                       GroupTable, Ket, RandomSource, SchmidtSector,
+                       GroupTable, Ket, RandomSource,
                        SyncProtocol, alice_measure, basis_ket,
                        sector_form_residual, fidelity, fidelity_after_relay,
                        finite_group_align, flat_state, frameness,
@@ -116,7 +116,7 @@ def _residual_by_outcome(state, bob):
             if sec is None or state.amps[n] == 0.0:
                 continue
             sa, sb = ga.level_slice(state.total - n), gb.level_slice(n)
-            for l, lam in enumerate(sec.lam):
+            for l, lam in enumerate(sec):
                 phase = np.exp(-2j * np.pi * k * (sa.start + l) / ga.dim)
                 predicted[sb.start + l] = state.amps[n] * lam * phase
         predicted /= np.linalg.norm(predicted)
@@ -148,8 +148,7 @@ def test_sector_form_residual_matches_the_per_outcome_loop(seed, n_tot, max_deg)
 def test_sector_form_residual_skips_empty_sectors():
     g = Generator(((0, 2), (1, 1), (2, 2)))
     amps = np.array([0.6, 0.0, 0.8j])
-    state = BipartiteFrameState(2, g, g, amps, (SchmidtSector(2, (0.6, 0.8)),
-                                                SchmidtSector(0, (1.0, 0.0))))
+    state = BipartiteFrameState(2, g, g, amps, [2, 0, 2], [1.0, 0.0, 0.6, 0.8])
     assert sector_form_residual(state) < 1e-12
     assert sector_form_residual(state) == pytest.approx(
         _residual_by_outcome(state, alice_measure(state)[1]), abs=1e-12)

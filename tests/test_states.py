@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
-                       Generator, Ket, NotInvariantState, SchmidtSector, expand,
+                       Generator, Ket, NotInvariantState, expand,
                        flat_state, ket, likelihood_cost, min_joint_cost,
                        sector_magnitudes, sine_state, single_sector_state,
                        tensor, optimal_frameness_state, variance_cost)
@@ -23,7 +25,7 @@ def _total_op(ga, gb):
 def test_flat_state_profile():
     s = flat_state(4)
     np.testing.assert_allclose(s.amps, np.full(5, 1 / np.sqrt(5)), atol=1e-15)
-    assert s.total == 4 and s.sector(3).lam == (1.0,)
+    assert s.total == 4 and s.sector(3).tolist() == [1.0]
 
 
 def test_sine_state_frozen_values():
@@ -155,77 +157,79 @@ def test_optimal_state_never_solves_at_full_dimension(monkeypatch):
     assert shapes == [(k, k) for k in (1, 2, 4, 33, 256, 257)]
 
 
-def test_nondegenerate_states_share_their_sectors_and_ladder():
-    a, b = flat_state(5), optimal_frameness_state(7, variance_cost())
-    assert a.sector(3) is b.sector(3)
-    assert Generator.ladder(8) is b.gen_a is b.gen_b is sine_state(7).gen_a
-
-
 # ------------------------------------------------------------- validation
 
 def test_schmidt_sector_validation():
-    SchmidtSector(0, (0.6, 0.8))
-    with pytest.raises(ContractViolation):
-        SchmidtSector(0, ())
-    with pytest.raises(ContractViolation):
-        SchmidtSector(0, (-0.6, 0.8))
-    with pytest.raises(ContractViolation):
-        SchmidtSector(0, (0.6, 0.6))
+    # N = 1 on two doubly degenerate levels: sector 0 takes up to two coefficients
+    g = Generator(((0, 2), (1, 2)))
+    amps = [1.0, 0.0]
+    BipartiteFrameState(1, g, g, amps, [2, 0], [0.6, 0.8])
+    with pytest.raises(ContractViolation, match="sector 0 without Schmidt data"):
+        BipartiteFrameState(1, g, g, amps, [0, 0], [])
+    with pytest.raises(ContractViolation, match="finite and nonnegative"):
+        BipartiteFrameState(1, g, g, amps, [2, 0], [-0.6, 0.8])
+    with pytest.raises(ContractViolation, match="finite and nonnegative"):
+        BipartiteFrameState(1, g, g, amps, [2, 0], [np.nan, 0.8])
+    with pytest.raises(ContractViolation, match="unit sum of squares"):
+        BipartiteFrameState(1, g, g, amps, [2, 0], [0.6, 0.6])
 
 
 def test_frame_state_validation():
     g = Generator.ladder(3)
-    ok = tuple(SchmidtSector(n, (1.0,)) for n in range(3))
+    ones = [1.0, 1.0, 1.0]
     amps = np.full(3, 1 / np.sqrt(3))
-    BipartiteFrameState(2, g, g, amps, ok)
+    BipartiteFrameState(2, g, g, amps, [1, 1, 1], ones)
     with pytest.raises(ContractViolation):
-        BipartiteFrameState(2, g, g, amps * 2, ok)            # norm
+        BipartiteFrameState(2, g, g, amps * 2, [1, 1, 1], ones)      # norm
     with pytest.raises(ContractViolation):
-        BipartiteFrameState(2, g, g, amps[:2], ok)            # shape
-    with pytest.raises(ContractViolation):
-        BipartiteFrameState(2, g, g, amps, ok[:2])            # missing sector 2
-    with pytest.raises(ContractViolation):
-        BipartiteFrameState(2, g, g, amps, ok + (SchmidtSector(0, (1.0,)),))
-    with pytest.raises(ContractViolation):
-        # rank 2 in a nondegenerate sector
-        BipartiteFrameState(2, g, g, amps,
-                            (SchmidtSector(0, (0.6, 0.8)),) + ok[1:])
+        BipartiteFrameState(2, g, g, amps[:2], [1, 1, 1], ones)      # shape
+    with pytest.raises(ContractViolation, match="sector 2 without Schmidt data"):
+        BipartiteFrameState(2, g, g, amps, [1, 1, 0], ones[:2])
+    for ranks in ([1, 1], [1.0, 1.0, 1.0], [1, -1, 1]):
+        with pytest.raises(ContractViolation, match="nonnegative integer per sector"):
+            BipartiteFrameState(2, g, g, amps, ranks, ones)
+    with pytest.raises(ContractViolation, match="the 3 coefficients"):
+        BipartiteFrameState(2, g, g, amps, [1, 1, 1], ones + [1.0])
+    with pytest.raises(ContractViolation, match="rank 2 exceeds min degeneracy 1"):
+        BipartiteFrameState(2, g, g, amps, [2, 1, 1], [0.6, 0.8, 1.0, 1.0])
     neg = Generator(((-1, 1), (0, 1), (1, 1)))
     with pytest.raises(ContractViolation, match="nonnegative levels"):
-        BipartiteFrameState(2, neg, g, amps, ok)
+        BipartiteFrameState(2, neg, g, amps, [1, 1, 1], ones)
 
 
 @pytest.mark.parametrize("amps", [[np.nan, 0.0, 1.0], [np.nan] * 3,
                                   [complex(0.6, np.nan), 0.8, 0.0]])
 def test_frame_state_rejects_nan_amplitudes(amps):
     g = Generator.ladder(3)
-    ok = tuple(SchmidtSector(n, (1.0,)) for n in range(3))
     with pytest.raises(ContractViolation, match="unit sum of squares"):
-        BipartiteFrameState(2, g, g, np.array(amps, dtype=complex), ok)
+        BipartiteFrameState(2, g, g, np.array(amps, dtype=complex), [1, 1, 1], [1.0] * 3)
 
 
-def _sector_error(n_tot, gen_a, gen_b, amps, sectors):
+def _sector_error(n_tot, gen_a, gen_b, amps, ranks, lam):
     """Loop reference of BipartiteFrameState's sector checks: the first
-    failing message, or None."""
-    by_level = {}
-    for s in sectors:
-        if not isinstance(s, SchmidtSector):
-            return "sectors must be SchmidtSector values"
-        if s.level in by_level:
-            return f"duplicate sector level {s.level}"
-        by_level[s.level] = s
-    for n, s in by_level.items():
-        if not 0 <= n <= n_tot:
-            return f"sector level {n} outside 0..{n_tot}"
+    failing message of a scan over n = 0..n_tot, or None."""
+    start = 0
+    for n in range(n_tot + 1):
+        r = ranks[n]
+        sector = lam[start:start + r].tolist()   # Python floats: x * x overflows quietly
+        start += r
+        if r == 0:
+            if abs(amps[n]) > 1e-12:
+                return f"nonzero amplitude at sector {n} without Schmidt data"
+            continue
+        if not all(math.isfinite(x) and x >= 0.0 for x in sector):
+            return f"sector {n}: Schmidt coefficients must be finite and nonnegative"
+        sum_sq = 0.0
+        for x in sector:
+            sum_sq += x * x
+        if abs(sum_sq - 1.0) > 1e-12:
+            return f"sector {n}: Schmidt coefficients must have unit sum of squares"
         da = dict(gen_a.levels).get(n_tot - n, 0)
         db = dict(gen_b.levels).get(n, 0)
         if da == 0 or db == 0:
             return f"sector {n} needs level {n_tot - n} on side A and level {n} on side B"
-        if s.rank > min(da, db):
-            return f"sector {n}: rank {s.rank} exceeds min degeneracy {min(da, db)}"
-    for n in range(n_tot + 1):
-        if abs(amps[n]) > 1e-12 and n not in by_level:
-            return f"nonzero amplitude at sector {n} without Schmidt data"
+        if r > min(da, db):
+            return f"sector {n}: rank {r} exceeds min degeneracy {min(da, db)}"
     return None
 
 
@@ -240,20 +244,17 @@ def _generators(max_level):
 
 
 @st.composite
-def _sector_lists(draw, n_tot):
-    """Sectors for every level 0..n_tot or for random levels, in random
-    order, ranks 1..2, sometimes with a repeated level or a non-sector."""
-    levels = draw(st.one_of(st.just(list(range(n_tot + 1))),
-                            st.lists(st.integers(-1, 6), max_size=7, unique=True)))
-    items = [SchmidtSector(n, (1 / np.sqrt(r),) * r)
-             for n, r in zip(draw(st.permutations(levels)),
-                             draw(st.lists(st.integers(1, 2), min_size=len(levels),
-                                           max_size=len(levels))))]
-    if items and draw(st.integers(0, 4)) == 0:
-        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(items)))
-    if draw(st.integers(0, 4)) == 0:
-        items.insert(draw(st.integers(0, len(items))), "not a sector")
-    return items
+def _sector_data(draw, n_tot):
+    """Ranks 0..3 per sector, mostly 1 or 2, with uniform unit Schmidt
+    vectors; sometimes one coefficient is negative, zero, too small or too
+    large, huge, infinite or NaN."""
+    ranks = draw(st.lists(st.sampled_from((0, 1, 1, 1, 2, 2, 3)),
+                          min_size=n_tot + 1, max_size=n_tot + 1))
+    lam = np.concatenate([np.full(r, 1 / np.sqrt(r)) for r in ranks if r] or [np.zeros(0)])
+    if lam.size and draw(st.integers(0, 3)) == 0:
+        lam[draw(st.integers(0, lam.size - 1))] = draw(st.sampled_from(
+            (-0.5, 0.0, 0.5, 1.0 + 1e-9, 2.0, 1e200, np.inf, -np.inf, np.nan)))
+    return ranks, lam
 
 
 @st.composite
@@ -263,20 +264,28 @@ def _frame_state_inputs(draw):
     amps = np.array(support, dtype=float)
     amps = amps / np.linalg.norm(amps) if amps.any() else np.eye(n_tot + 1)[0]
     return (n_tot, draw(_generators(5)), draw(_generators(5)), amps,
-            draw(_sector_lists(n_tot)))
+            *draw(_sector_data(n_tot)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(inputs=_frame_state_inputs())
 def test_frame_state_sector_checks_match_the_loop_reference(inputs):
-    n_tot, gen_a, gen_b, amps, sectors = inputs
-    want = _sector_error(n_tot, gen_a, gen_b, amps, sectors)
+    n_tot, gen_a, gen_b, amps, ranks, lam = inputs
+    want = _sector_error(n_tot, gen_a, gen_b, amps, ranks, lam)
     if want is None:
-        state = BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
-        assert all(state.sector(s.level) is s for s in sectors)
+        state = BipartiteFrameState(n_tot, gen_a, gen_b, amps, ranks, lam)
+        start = 0
+        for n, r in enumerate(ranks):
+            sector = state.sector(n)
+            if r == 0:
+                assert sector is None
+            else:
+                np.testing.assert_array_equal(sector, lam[start:start + r])
+                assert not sector.flags.writeable
+            start += r
     else:
         with pytest.raises(ContractViolation) as err:
-            BipartiteFrameState(n_tot, gen_a, gen_b, amps, tuple(sectors))
+            BipartiteFrameState(n_tot, gen_a, gen_b, amps, ranks, lam)
         assert str(err.value) == want
 
 
@@ -313,16 +322,13 @@ def test_state_validation_makes_no_per_level_lookups(monkeypatch):
     assert flat_state(300).total == 300
     assert optimal_frameness_state(200, likelihood_cost(200)).total == 200
     g = Generator(((0, 2), (1, 2), (2, 2)))
-    BipartiteFrameState(2, g, g, np.full(3, 1 / np.sqrt(3)),
-                        (SchmidtSector(0, (1.0,)), SchmidtSector(1, (0.6, 0.8)),
-                         SchmidtSector(2, (1.0,))))
+    BipartiteFrameState(2, g, g, np.full(3, 1 / np.sqrt(3)), [1, 2, 1], [1.0, 0.6, 0.8, 1.0])
     assert lookups == [301, 301, 201, 201, 3, 3]   # one array lookup per side and state
 
 
 def test_frame_state_amps_keep_phases():
     amps = np.array([1.0, 1.0j]) / np.sqrt(2)
-    s = BipartiteFrameState(1, Generator.ladder(2), Generator.ladder(2), amps,
-                            (SchmidtSector(0, (1.0,)), SchmidtSector(1, (1.0,))))
+    s = BipartiteFrameState(1, Generator.ladder(2), Generator.ladder(2), amps, [1, 1], [1.0, 1.0])
     np.testing.assert_allclose(s.amps, amps, atol=0)
     np.testing.assert_allclose(s.magnitudes(), [1 / np.sqrt(2)] * 2, atol=1e-15)
 
@@ -339,8 +345,7 @@ def test_expand_degenerate_frozen_layout():
     ga = Generator(((0, 1), (1, 2)))
     gb = Generator(((0, 2), (1, 1)))
     amps = np.array([0.8, 0.6j])
-    s = BipartiteFrameState(1, ga, gb, amps,
-                            (SchmidtSector(0, (0.6, 0.8)), SchmidtSector(1, (1.0,))))
+    s = BipartiteFrameState(1, ga, gb, amps, [2, 1], [0.6, 0.8, 1.0])
     psi = expand(s).amplitudes.reshape(3, 3)
     want = np.zeros((3, 3), dtype=complex)
     want[1, 0] = 0.8 * 0.6    # sector 0, first Schmidt pair
@@ -360,7 +365,7 @@ def _expand_by_sector(state):
             continue
         sa = ga.level_slice(state.total - n)
         sb = gb.level_slice(n)
-        for l, lam in enumerate(s.lam):
+        for l, lam in enumerate(s):
             psi[sa.start + l, sb.start + l] = e * lam
     return psi.reshape(-1)
 
@@ -373,7 +378,8 @@ def test_expand_matches_the_per_sector_loop_reference(seed, n_tot, max_deg, zero
     amps = s.amps.copy()
     amps[[z for z in zeros if z <= n_tot]] = 0.0   # unpopulated sectors write nothing
     if np.linalg.norm(amps) > 0.0:
-        s = BipartiteFrameState(n_tot, s.gen_a, s.gen_b, amps / np.linalg.norm(amps), s.sectors)
+        s = BipartiteFrameState(n_tot, s.gen_a, s.gen_b, amps / np.linalg.norm(amps),
+                                s.ranks, s.lam)
     np.testing.assert_array_equal(expand(s).amplitudes, _expand_by_sector(s))
 
 
