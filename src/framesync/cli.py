@@ -286,8 +286,9 @@ def cmd_align(cfg: RunConfig) -> ReportTable:
     table = ReportTable(["g", "trials", "errors"])
     total_errors = 0
     for g in range(order):
-        gen = root.split(g).generator()   # one stream per mismatch
-        errors = sum(finite_group_align(group, g, gen) != g for _ in range(trials))
+        # one stream per mismatch, all its attempts in one block
+        estimates = finite_group_align(group, g, trials, root.split(g).generator())
+        errors = int(np.count_nonzero(estimates != g))
         total_errors += errors
         table.add(g, trials, errors)
     table.add("total", order * trials, total_errors)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (NORM_ATOL, ContractViolation, DensityMatrix, Generator, Ket,
-                   RandomSource, measure, tensor)
+                   RandomSource, tensor)
 from .estimation import (TWO_PI, CostFunction, EstimateDensity, min_joint_cost,
                          sample_estimate)
 from .states import BipartiteFrameState, _slot_pairs, expand, sector_magnitudes
@@ -312,7 +312,11 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Finite group as a multiplication table, axioms checked up front."""
+    """Finite group as a multiplication table, axioms checked up front.
+
+    ``table`` is the tuple of rows; products and inverses are read from
+    read-only arrays built by the same check.
+    """
 
     table: tuple
 
@@ -336,8 +340,13 @@ class GroupTable:
         if broken.any():
             a, b, c = np.unravel_index(np.argmax(broken), broken.shape)
             raise ContractViolation(f"associativity fails at ({a}, {b}, {c})")
+        m.setflags(write=False)
+        inverses = np.argmax(m == identity, axis=1)   # first c with a c = e, row by row
+        inverses.setflags(write=False)
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "_identity", identity)
+        object.__setattr__(self, "_products", m)
+        object.__setattr__(self, "_inverses", inverses)
 
     @classmethod
     def cyclic(cls, order: int) -> "GroupTable":
@@ -355,10 +364,10 @@ class GroupTable:
         return self._identity
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return int(self._products[a, b])
 
     def inverse(self, a: int) -> int:
-        return self.table[a].index(self.identity)
+        return int(self._inverses[a])
 
 
 @functools.lru_cache(maxsize=256)
@@ -371,21 +380,38 @@ def _correlated_state(row: tuple) -> Ket:
     return Ket(amps.reshape(-1))
 
 
-def finite_group_align(group: GroupTable, mismatch: int, rng: np.random.Generator) -> int:
-    """Recover a finite-group frame mismatch exactly from one shared pair.
+def finite_group_align(group: GroupTable, mismatch: int, trials: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Recover a finite-group frame mismatch exactly, once per shared pair.
 
     The parties share the uniform correlated state over group elements; Alice
     measures in her element basis (the computational one), Bob in his (offset
     by the mismatch), and the estimate (Bob's outcome) * (Alice's outcome)^-1
-    is exact every time.  Both measurements draw from the numpy Generator
-    ``rng``.
+    is exact every time.  Returns the int array of ``trials`` estimates.
+
+    All attempts are one block: ``rng.random((trials, 2))`` gives attempt i
+    Alice's draw in column 0 and Bob's in column 1, the values and order of
+    two ``core.measure`` calls per attempt on the numpy Generator ``rng``.
     """
     d = group.order
     if not 0 <= mismatch < d:
         raise ContractViolation(f"mismatch must be an element index 0..{d - 1}")
+    if trials < 1:
+        raise ContractViolation("align needs at least one trial")
 
-    state = _correlated_state(group.table[mismatch])
-    a_out, posterior, _ = measure(state, d, rng)
-    b_out, _, _ = measure(posterior, d, rng)
-    return group.mul(b_out, group.inverse(a_out))
+    state = _correlated_state(group.table[mismatch]).require_unit(what="correlated state")
+    psi = state.amplitudes.reshape(d, d)              # Alice's element x Bob's
+    u = rng.random((trials, 2))
 
+    # each party's draw follows core.measure: outcome = how many cumulative
+    # probabilities are <= u, clamped to d - 1, the likeliest one where p <= 0
+    p_a = np.einsum("ij,ij->i", psi, psi.conj()).real
+    a = np.minimum(np.searchsorted(np.cumsum(p_a), u[:, 0], side="right"), d - 1)
+    a = np.where(p_a[a] <= 0.0, np.argmax(p_a), a)
+
+    # Bob's posterior for each Alice outcome; a row with p_a = 0 is never drawn
+    posterior = psi / np.sqrt(np.where(p_a > 0.0, p_a, 1.0))[:, None]
+    p_b = np.einsum("ij,ij->ij", posterior, posterior.conj()).real
+    b = np.minimum(np.count_nonzero(np.cumsum(p_b, axis=1)[a] <= u[:, 1, None], axis=1), d - 1)
+    b = np.where(p_b[a, b] <= 0.0, np.argmax(p_b, axis=1)[a], b)
+    return group._products[b, group._inverses[a]]

@@ -263,12 +263,10 @@ def sector_magnitudes(e_ket: Ket, gen_a: Generator, gen_b: Generator):
     are invariant under any local unitary that commutes with the generators.
     """
     n_tot = _total_level(e_ket, gen_a, gen_b)
-    psi = e_ket.amplitudes.reshape(gen_a.dim, gen_b.dim)
-    mags = np.zeros(n_tot + 1)
-    levels = np.arange(n_tot + 1)
-    paired = (gen_a.degeneracies(n_tot - levels) > 0) & (gen_b.degeneracies(levels) > 0)
-    for n in np.flatnonzero(paired):
-        block = psi[gen_a.level_slice(n_tot - n), gen_b.level_slice(n)]
-        mags[n] = np.linalg.norm(block)
-    return n_tot, mags
+    level_a = gen_a.eigenvalues()[:, None]
+    level_b = np.broadcast_to(gen_b.eigenvalues(), (gen_a.dim, gen_b.dim))
+    # slots of sectors n = 0..N: Alice at N - n, Bob at n
+    on = (level_a + level_b == n_tot) & (level_a >= 0) & (level_b >= 0)
+    weights = np.abs(e_ket.amplitudes.reshape(gen_a.dim, gen_b.dim)[on]) ** 2
+    return n_tot, np.sqrt(np.bincount(level_b[on], weights=weights, minlength=n_tot + 1))
 

@@ -1110,11 +1110,10 @@ def test_align_exact_rows(capsys):
 def test_align_draws_one_stream_per_mismatch(capsys, monkeypatch):
     seen = {}
 
-    def record(group, g, rng):
-        if g not in seen:
-            seen[g] = (rng, rng.bit_generator.state)
-        assert rng is seen[g][0]
-        return g
+    def record(group, g, trials, rng):
+        assert g not in seen and trials == 5
+        seen[g] = (rng, rng.bit_generator.state)
+        return np.full(trials, g)
     monkeypatch.setattr(cli, "finite_group_align", record)
     code, out, _ = run(capsys, "align", "--d", "4", "--trials", "5", "--seed", "9")
     assert code == 0 and sorted(seen) == [0, 1, 2, 3]
@@ -1131,7 +1130,7 @@ def test_align_rows_are_unchanged(capsys):
 
 
 def test_align_default_trials_are_admitted_up_to_the_order_cap(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, rng: g)
+    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, trials, rng: np.full(trials, g))
     code, out, _ = run(capsys, "align", "--d", "64")
     assert code == 0
     assert data_rows(out)[1][-1] == ["total", "64000", "0"]
@@ -1148,7 +1147,7 @@ def test_align_work_beyond_the_cap_exits_before_any_attempt(capsys, monkeypatch,
 
 def test_align_work_at_the_cap_is_admitted(capsys, monkeypatch):
     assert ALIGN_WORK_CAP % 64 == 0
-    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, rng: g)
+    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, trials, rng: np.full(trials, g))
     code, out, _ = run(capsys, "align", "--d", "64", "--trials", str(ALIGN_WORK_CAP // 64))
     assert code == 0 and data_rows(out)[1][-1] == ["total", str(ALIGN_WORK_CAP), "0"]
 

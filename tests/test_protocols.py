@@ -13,8 +13,11 @@ from framesync import (BipartiteFrameState, ContractViolation, DensityMatrix, Ge
                        monte_carlo_cost, no_go_witness, optimal_frameness_state,
                        si_teleport, sine_state, single_sector_state, expand,
                        teleport_with_mismatch, tensor, variance_cost)
+import framesync.cli as cli
+import framesync.core as core
 import framesync.protocols as protocols
 from framesync.cli import main
+from framesync.core import measure
 from framesync.protocols import _rank_one_commutator_norm
 from conftest import level_preserving_unitary, random_frame_state
 
@@ -577,9 +580,104 @@ def test_finite_group_alignment_is_exact(order):
     group = GroupTable.cyclic(order)
     root = RandomSource(31).split(order)
     for g in range(order):
-        gen = root.split(g).generator()
-        for _ in range(50):
-            assert finite_group_align(group, g, gen) == g
+        estimates = finite_group_align(group, g, 50, root.split(g).generator())
+        assert estimates.shape == (50,)
+        assert (estimates == g).all()
+
+
+def test_finite_group_alignment_is_exact_in_a_non_abelian_group():
+    # in S3, b a^-1 != a^-1 b, so a swapped product would misidentify mismatches
+    group = GroupTable(_S3)
+    assert any(group.mul(a, b) != group.mul(b, a) for a in range(6) for b in range(6))
+    root = RandomSource(77)
+    for g in range(group.order):
+        estimates = finite_group_align(group, g, 200, root.split(g).generator())
+        assert (estimates == g).all()
+
+
+def _align_by_shots(group, mismatch, trials, rng):
+    """Per-shot reference of finite_group_align: two core.measure calls per
+    attempt, Alice's then Bob's, on the same stream."""
+    d = group.order
+    state = protocols._correlated_state(group.table[mismatch])
+    estimates = []
+    for _ in range(trials):
+        a_out, posterior, _ = measure(state, d, rng)
+        b_out, _, _ = measure(posterior, d, rng)
+        estimates.append(group.table[b_out][group.table[a_out].index(group.identity)])
+    return np.array(estimates)
+
+
+class _Draws:
+    """Stand-in for a numpy Generator that hands out fixed uniform draws in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out, self.values = self.values[:n], self.values[n:]
+        return out[0] if size is None else np.array(out).reshape(size)
+
+
+def _lopsided_state(d):
+    """A unit ket on d x d slots with an empty last row and column and a norm
+    just under 1: both parties' cumulative sums can stop below a draw, and
+    the outcome d - 1 they then clamp to has probability 0."""
+    amps = np.random.default_rng(d).normal(size=(d, d, 2)) @ np.array([1, 1j])
+    amps[-1, :] = amps[:, -1] = 0.0
+    return Ket(amps.reshape(-1) * (1 - 1e-13) / np.linalg.norm(amps))
+
+
+_REFERENCE_GROUPS = [GroupTable.cyclic(d) for d in (2, 5, 16, 64)] + [GroupTable(_S3)]
+
+
+@pytest.mark.parametrize("group", _REFERENCE_GROUPS, ids=lambda g: f"order{g.order}")
+def test_align_block_matches_the_per_shot_reference(group, monkeypatch):
+    d = group.order
+    root = RandomSource(4242).split(d)
+    for g in range(d):
+        block_rng, shot_rng = root.split(g).generator(), root.split(g).generator()
+        block = finite_group_align(group, g, 20, block_rng)
+        np.testing.assert_array_equal(block, _align_by_shots(group, g, 20, shot_rng))
+        assert block_rng.bit_generator.state == shot_rng.bit_generator.state
+
+    # On the correlated state every draw gives the exact estimate; on a
+    # lopsided shared state the estimate depends on both outcomes, so equal
+    # arrays mean equal outcomes, draw by draw, edge rules included.
+    lopsided = _lopsided_state(d)
+    monkeypatch.setattr(protocols, "_correlated_state", lambda row: lopsided)
+    block_rng, shot_rng = root.generator(), root.generator()
+    np.testing.assert_array_equal(finite_group_align(group, 0, 300, block_rng),
+                                  _align_by_shots(group, 0, 300, shot_rng))
+    # draws 0, j/d and the largest float below 1, each against the others
+    last = np.nextafter(1.0, 0.0)
+    edges = [0.0, last] + [j / d for j in range(1, d)]
+    draws = [u for e in edges for u in (e, last, last, e, e, e)]
+    # draws equal to a cumulative sum, where side="right" decides: Alice's
+    # sum before row r selects r, and Bob's draw hits a sum of that row
+    psi = lopsided.amplitudes.reshape(d, d)
+    p_a = np.einsum("ij,ij->i", psi, psi.conj()).real
+    cum_a = np.concatenate(([0.0], np.cumsum(p_a)))
+    for r in range(d - 1):
+        posterior = psi[r] / np.sqrt(p_a[r])
+        cum_b = np.cumsum((posterior * posterior.conj()).real)
+        draws += [u for k in sorted({0, 1, d // 2, d - 2}) for u in (cum_a[r], cum_b[k])]
+    np.testing.assert_array_equal(finite_group_align(group, 0, len(draws) // 2, _Draws(draws)),
+                                  _align_by_shots(group, 0, len(draws) // 2, _Draws(draws)))
+
+
+def test_align_makes_one_block_per_mismatch_and_no_measure_call(monkeypatch, capsys):
+    blocks, shots = [], []
+    block = cli.finite_group_align
+    monkeypatch.setattr(cli, "finite_group_align",
+                        lambda *a: (blocks.append(a[1]), block(*a))[1])
+    for module in (core, protocols, cli):
+        if getattr(module, "measure", None) is core.measure:
+            monkeypatch.setattr(module, "measure", lambda *a: shots.append(1))
+    assert main(["align", "--d", "16", "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert blocks == list(range(16)) and shots == []
 
 
 def test_align_run_checks_its_group_once(monkeypatch, capsys):
@@ -594,5 +692,10 @@ def test_align_run_checks_its_group_once(monkeypatch, capsys):
 
 
 def test_finite_group_align_input_gate():
-    with pytest.raises(ContractViolation):
-        finite_group_align(GroupTable.cyclic(3), 3, RandomSource(0).generator())
+    group = GroupTable.cyclic(3)
+    for mismatch, trials in ((3, 1), (-1, 1), (0, 0), (0, -5)):
+        rng = RandomSource(0).generator()
+        before = rng.bit_generator.state
+        with pytest.raises(ContractViolation):
+            finite_group_align(group, mismatch, trials, rng)
+        assert rng.bit_generator.state == before      # refused before any draw
