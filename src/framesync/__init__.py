@@ -17,7 +17,7 @@ from .protocols import (GroupTable, SyncProtocol, WitnessReport, alice_measure,
                         monte_carlo_cost, no_go_witness, si_teleport,
                         teleport_with_mismatch)
 from .states import (BipartiteFrameState, NotInvariantState,
-                     expand, flat_state, optimal_frameness_state,
+                     expand, family_profile, flat_state, optimal_frameness_state,
                      sector_magnitudes, sine_state, single_sector_state)
 
 __version__ = "0.1.0"

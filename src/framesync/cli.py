@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, GRID_CAP, SETTINGS,
-                     SYNC_WORK_CAP, RunConfig, UsageError, cost_dict, cost_from_spec,
-                     cost_label, frame_state_from_spec, ket_from_spec, parse_n_range,
-                     resource_from_spec, run_config, state_dict)
+from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, FAMILIES, GRID_CAP,
+                     SETTINGS, SYNC_WORK_CAP, RunConfig, UsageError, cost_dict,
+                     cost_from_spec, cost_label, frame_state_from_spec, ket_from_spec,
+                     parse_n_range, resource_from_spec, run_config, state_dict)
 from .core import ContractViolation, RandomSource, fidelity
 from .estimation import TWO_PI, brute_force_min_cost, min_joint_cost
 from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
                         finite_group_align, frameness, monte_carlo_cost,
                         no_go_witness, teleport_with_mismatch)
-from .states import optimal_frameness_state
+from .states import family_profile
 
 TELEPORT_CHUNK = 1 << 17   # density-matrix entries per teleport_with_mismatch call
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')   # a CSV field holding one of these is quoted
@@ -142,8 +142,7 @@ def cmd_cost(cfg: RunConfig) -> ReportTable:
     table.add(*row)
 
     if _state_label(cfg) == "sine-paper":
-        best = min_joint_cost(
-            optimal_frameness_state(state.total, cost).magnitudes(), cost)
+        best = min_joint_cost(family_profile("optimal", state.total, cost), cost)
         if value > best + 1e-12:
             table.notes.append(
                 f"sine-paper profile is not the minimizer at N={state.total}: "
@@ -162,20 +161,26 @@ def cmd_scaling(cfg: RunConfig) -> ReportTable:
     family_list = [f.strip() for f in families.split(",") if f.strip()]
     if not family_list:
         raise UsageError(f"scaling needs at least one state family, got {families!r}")
+    unknown = [f for f in family_list if f not in FAMILIES]
+    if unknown:
+        raise UsageError(f"scaling takes family names only, got {unknown[0]!r}; "
+                         f"known: {', '.join(FAMILIES)}")
 
+    # a family is its profile: each N resolves the cost once, and no state is built
     cost_spec = cost_dict(cfg.cost)
+    ns = range(lo, hi + 1)
+    values = [[] for _ in family_list]
+    for n in ns:
+        cost = cost_from_spec(cost_spec, n)
+        for family, column in zip(family_list, values):
+            column.append(min_joint_cost(family_profile(family, n, cost), cost))
+
     table = ReportTable(["family", "N", "min_cost"])
     slopes = []
-    for family in family_list:
-        state_spec = state_dict(family)
-        points = []
-        for n in range(lo, hi + 1):
-            state = frame_state_from_spec(state_spec, n, cost_spec, n_cap=COST_N_CAP)
-            cost = cost_from_spec(cost_spec, n)
-            value = min_joint_cost(state.magnitudes(), cost)
+    for family, column in zip(family_list, values):
+        for n, value in zip(ns, column):
             table.add(family, n, value)
-            points.append((n, value))
-        upper = [(n, v) for n, v in points if n >= (lo + hi) / 2 and v > 0]
+        upper = [(n, v) for n, v in zip(ns, column) if n >= (lo + hi) / 2 and v > 0]
         if len(upper) >= 2:
             xs = np.log([n for n, _ in upper])
             ys = np.log([v for _, v in upper])

@@ -26,10 +26,8 @@ import numpy as np
 
 from .core import NORM_ATOL, ContractViolation, Generator, Ket
 from .estimation import CostFunction, likelihood_cost, variance_cost
-from .states import (BipartiteFrameState, expand, flat_state,
-                     optimal_frameness_state, sine_state, single_sector_state)
-
-FAMILIES = ("flat", "sine-paper", "optimal", "single-sector")
+from .states import (FAMILIES, BipartiteFrameState, _nondegenerate_state, expand,
+                     family_profile)
 
 COST_N_CAP = 512   # profile-only commands
 DEMO_N_CAP = 64    # anything that expands a full statevector
@@ -180,15 +178,11 @@ def frame_state_from_spec(spec, n: int | None, cost_spec,
         if n_eff is None:
             raise UsageError(f"family {family!r} needs N (flag --N or spec field)")
         n_eff = _typed(n_eff, "state N", lo=1, hi=n_cap)
-        if family == "flat":
-            return flat_state(n_eff)
-        if family == "sine-paper":
-            return sine_state(n_eff)
-        if family == "optimal":
-            return optimal_frameness_state(n_eff, cost_from_spec(cost_spec, n_eff))
-        if family == "single-sector":
-            return single_sector_state(n_eff, _typed(d.get("level", 0), "single-sector level"))
-        raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+        if family not in FAMILIES:
+            raise UsageError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+        level = _typed(d.get("level", 0), "single-sector level") if family == "single-sector" else 0
+        cost = cost_from_spec(cost_spec, n_eff) if family == "optimal" else None
+        return _nondegenerate_state(n_eff, family_profile(family, n_eff, cost, level))
 
     for key in ("N", "generatorA", "generatorB", "sectors"):
         if key not in d:

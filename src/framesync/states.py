@@ -9,7 +9,9 @@ sectors n = 0..N, where sector n lives on Alice level N-n and Bob level n:
 with per-sector Schmidt coefficients lam paired through the degeneracy labels
 of the two generators.  A state holds this data as arrays: the Schmidt rank
 r_n of each sector (0 where it has none) and one flat array of every
-sector's coefficients in level order.  Degenerate sectors are built only
+sector's coefficients in level order.  A named family is its magnitude
+profile (:func:`family_profile`); its builder puts that profile on ladder
+generators with rank-one sectors.  Degenerate sectors are built only
 from explicit (ranks, lam) input; there is deliberately no random-state
 helper here, so the rank bookkeeping (r_n at most the smaller degeneracy)
 stays visible at every call site.
@@ -23,6 +25,8 @@ import numpy as np
 
 from .core import ContractViolation, Generator, Ket, _frozen_array
 from .estimation import CostFunction
+
+FAMILIES = ("flat", "sine-paper", "optimal", "single-sector")
 
 SECTOR_ATOL = 1e-12      # sector data normalization
 EIGEN_ATOL = 1e-10       # eigenstate gate of sector_magnitudes
@@ -59,11 +63,7 @@ class BipartiteFrameState:
         if self.gen_a.min_level < 0 or self.gen_b.min_level < 0:
             raise ContractViolation("frame-state generators must have nonnegative levels")
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (n_tot + 1,):
-            raise ContractViolation(
-                f"amplitudes must have one entry per sector 0..{n_tot}, got shape {amps.shape}")
-        if not abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= SECTOR_ATOL:   # NaN fails
-            raise ContractViolation("sector amplitudes must have unit sum of squares")
+        _unit_profile(n_tot, np.abs(amps))
         ranks = np.asarray(self.ranks)
         if ranks.shape != (n_tot + 1,) or ranks.dtype.kind not in "iu" or (ranks < 0).any():
             raise ContractViolation(
@@ -128,46 +128,18 @@ def _slot_pairs(state: BipartiteFrameState) -> tuple:
     return n[populated], l[populated], state.lam[populated]
 
 
-def _nondegenerate_state(n_tot: int, amps) -> BipartiteFrameState:
-    g = Generator.ladder(n_tot + 1)
-    return BipartiteFrameState(n_tot, g, g, amps, np.ones(n_tot + 1, dtype=np.int64),
-                               np.ones(n_tot + 1))
+def _unit_profile(n_tot: int, m: np.ndarray) -> np.ndarray:
+    """``m`` if it holds one magnitude per sector 0..n_tot with unit sum of
+    squares within SECTOR_ATOL; the amplitude gate of every state."""
+    if m.shape != (n_tot + 1,):
+        raise ContractViolation(
+            f"amplitudes must have one entry per sector 0..{n_tot}, got shape {m.shape}")
+    if not abs(float(np.sum(m * m)) - 1.0) <= SECTOR_ATOL:   # NaN fails
+        raise ContractViolation("sector amplitudes must have unit sum of squares")
+    return m
 
 
-def flat_state(n_tot: int) -> BipartiteFrameState:
-    """Uniform sector amplitudes 1/sqrt(N+1); linear-in-N cost scaling."""
-    if n_tot < 1:
-        raise ContractViolation("flat state needs total level >= 1")
-    return _nondegenerate_state(n_tot, np.full(n_tot + 1, 1.0 / np.sqrt(n_tot + 1.0)))
-
-
-def sine_state(n_tot: int) -> BipartiteFrameState:
-    """Fixed half-period sine amplitude profile over the N+1 sectors.
-
-    e_n = sin(pi (n + 1/2) / (N + 1)) * sqrt(2 / (N + 1)).  Exactly normalized
-    for every N.  Note this fixed profile is not the cost minimizer for N >= 2.
-    The variance-cost optimum is the shifted sine
-    sqrt(2 / (N + 2)) sin(pi (n + 1) / (N + 2)) of Buzek, Derka & Massar
-    (PRL 82, 2207 (1999); also Berry & Wiseman, PRL 85, 5098 (2000)), and the
-    likelihood-cost optimum (q_max >= N) is the flat profile.
-    :func:`optimal_frameness_state` returns both in closed form; its
-    eigensolve serves only other costs.
-    """
-    if n_tot < 1:
-        raise ContractViolation("sine state needs total level >= 1")
-    n = np.arange(n_tot + 1)
-    amps = np.sin(np.pi * (n + 0.5) / (n_tot + 1)) * np.sqrt(2.0 / (n_tot + 1))
-    return _nondegenerate_state(n_tot, amps)
-
-
-def single_sector_state(n_tot: int, level: int = 0) -> BipartiteFrameState:
-    """All weight on one sector; carries no phase information at all."""
-    if not 0 <= level <= n_tot:
-        raise ContractViolation(f"sector level {level} outside 0..{n_tot}")
-    return _nondegenerate_state(n_tot, np.arange(n_tot + 1) == level)   # one-hot profile
-
-
-def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameState:
+def _optimal_profile(n_tot: int, cost: CostFunction) -> np.ndarray:
     """Sector profile minimizing the joint cost (maximizing frameness).
 
     The optimum over unit nonnegative profiles of
@@ -195,18 +167,15 @@ def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameSta
     k x k matrix M[:k, :k] + M[:k, ::-1][:, :k], k = ceil(dim / 2); for odd
     dim the middle coordinate is rescaled by sqrt(2) to keep it symmetric.
     """
-    if n_tot < 1:
-        raise ContractViolation("optimal state needs total level >= 1")
     dim = n_tot + 1
     band = np.zeros(dim)
     cq = np.asarray(cost.cq[:dim - 1])
     band[1:cq.size + 1] = -0.5 * cq
     if band[1] > 0.0 and not band[2:].any():           # tridiagonal
         n = np.arange(1, dim + 1)
-        amps = math.sqrt(2.0 / (dim + 1)) * np.sin(np.pi * n / (dim + 1))
-        return _nondegenerate_state(n_tot, amps)
+        return math.sqrt(2.0 / (dim + 1)) * np.sin(np.pi * n / (dim + 1))
     if band[1] > 0.0 and (band[1:] == band[1]).all():   # constant: the flat profile
-        return _nondegenerate_state(n_tot, np.full(dim, 1.0 / math.sqrt(dim)))
+        return np.full(dim, 1.0 / math.sqrt(dim))
 
     idx = np.arange(dim)
     m = band[np.abs(idx[:, None] - idx)]
@@ -224,7 +193,77 @@ def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameSta
         raise ArithmeticError(
             f"eigenvector residual {residual:.3e} exceeds {RESIDUAL_ATOL:.0e}; "
             "the leading eigenspace has no nonnegative representative here")
-    return _nondegenerate_state(n_tot, lead)
+    return lead
+
+
+def family_profile(family: str, n_tot: int, cost: CostFunction | None = None,
+                   level: int = 0) -> np.ndarray:
+    """Sector magnitudes |e_n|, n = 0..n_tot, of a named family.
+
+    A family is its profile; its state only adds ladder generators and
+    rank-one sectors.  ``flat`` is 1/sqrt(N+1); ``sine-paper`` the fixed
+    half-period sine of :func:`sine_state`; ``optimal`` the minimizer of
+    ``cost``; ``single-sector`` all weight on sector ``level``.  The profile
+    passes the amplitude gate of a state built from it.
+    """
+    if family not in FAMILIES:
+        raise ContractViolation(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if family == "single-sector":
+        if not 0 <= level <= n_tot:
+            raise ContractViolation(f"sector level {level} outside 0..{n_tot}")
+        return _unit_profile(n_tot, (np.arange(n_tot + 1) == level).astype(float))
+    if n_tot < 1:
+        raise ContractViolation(
+            f"{family.removesuffix('-paper')} state needs total level >= 1")
+    if family == "flat":
+        profile = np.full(n_tot + 1, 1.0 / np.sqrt(n_tot + 1.0))
+    elif family == "sine-paper":
+        n = np.arange(n_tot + 1)
+        profile = np.sin(np.pi * (n + 0.5) / (n_tot + 1)) * np.sqrt(2.0 / (n_tot + 1))
+    elif cost is None:
+        raise ContractViolation("the optimal family needs a cost")
+    else:
+        profile = _optimal_profile(n_tot, cost)
+    return _unit_profile(n_tot, profile)
+
+
+def _nondegenerate_state(n_tot: int, profile: np.ndarray) -> BipartiteFrameState:
+    g = Generator.ladder(n_tot + 1)
+    return BipartiteFrameState(n_tot, g, g, profile, np.ones(n_tot + 1, dtype=np.int64),
+                               np.ones(n_tot + 1))
+
+
+def flat_state(n_tot: int) -> BipartiteFrameState:
+    """Uniform sector amplitudes 1/sqrt(N+1); linear-in-N cost scaling."""
+    return _nondegenerate_state(n_tot, family_profile("flat", n_tot))
+
+
+def sine_state(n_tot: int) -> BipartiteFrameState:
+    """Fixed half-period sine amplitude profile over the N+1 sectors.
+
+    e_n = sin(pi (n + 1/2) / (N + 1)) * sqrt(2 / (N + 1)).  Exactly normalized
+    for every N.  Note this fixed profile is not the cost minimizer for N >= 2.
+    The variance-cost optimum is the shifted sine
+    sqrt(2 / (N + 2)) sin(pi (n + 1) / (N + 2)) of Buzek, Derka & Massar
+    (PRL 82, 2207 (1999); also Berry & Wiseman, PRL 85, 5098 (2000)), and the
+    likelihood-cost optimum (q_max >= N) is the flat profile.
+    :func:`optimal_frameness_state` returns both in closed form; its
+    eigensolve serves only other costs.
+    """
+    return _nondegenerate_state(n_tot, family_profile("sine-paper", n_tot))
+
+
+def single_sector_state(n_tot: int, level: int = 0) -> BipartiteFrameState:
+    """All weight on one sector; carries no phase information at all."""
+    return _nondegenerate_state(n_tot, family_profile("single-sector", n_tot, level=level))
+
+
+def optimal_frameness_state(n_tot: int, cost: CostFunction) -> BipartiteFrameState:
+    """Resource minimizing the joint cost (maximizing frameness) at total
+    level N: the leading eigenvector of the cost's symmetric Toeplitz coupling
+    matrix, in closed form for the variance and the likelihood (q_max >= N)
+    costs; see :func:`_optimal_profile`."""
+    return _nondegenerate_state(n_tot, family_profile("optimal", n_tot, cost))
 
 
 def expand(state: BipartiteFrameState) -> Ket:
@@ -263,6 +302,8 @@ def sector_magnitudes(e_ket: Ket, gen_a: Generator, gen_b: Generator):
     are invariant under any local unitary that commutes with the generators.
     """
     n_tot = _total_level(e_ket, gen_a, gen_b)
+    if n_tot < 0:
+        raise ContractViolation(f"total level {n_tot} has no sectors; sector form needs N >= 0")
     level_a = gen_a.eigenvalues()[:, None]
     level_b = np.broadcast_to(gen_b.eigenvalues(), (gen_a.dim, gen_b.dim))
     # slots of sectors n = 0..N: Alice at N - n, Bob at n

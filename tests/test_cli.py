@@ -15,11 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import framesync.cli as cli
 import framesync.config as config
-from framesync import RandomSource, WitnessReport
+import framesync.states as states
+from framesync import (BipartiteFrameState, Generator, RandomSource, WitnessReport,
+                       min_joint_cost)
 from framesync.cli import COMMANDS, ReportTable, main, render_csv, render_json
-from framesync.config import (ALIGN_WORK_CAP, FAMILIES, GENERATOR_DIM_CAP, SETTINGS, SYNC_WORK_CAP,
-                              UsageError, cost_from_spec, frame_state_from_spec,
-                              ket_from_spec, parse_n_range, resource_from_spec, run_config)
+from framesync.config import (ALIGN_WORK_CAP, COST_N_CAP, FAMILIES, GENERATOR_DIM_CAP,
+                              SETTINGS, SYNC_WORK_CAP, UsageError, cost_from_spec,
+                              frame_state_from_spec, ket_from_spec, parse_n_range,
+                              resource_from_spec, run_config)
 
 TWO_PI = 2 * math.pi
 
@@ -409,6 +412,84 @@ def test_scaling_other_bands_solve_once_per_n(capsys, monkeypatch, tmp_path):
                      "--N-range", "496..512", "--cost", str(path))
     assert code == 0
     assert calls == [((n + 2) // 2, (n + 2) // 2) for n in range(496, 513)]
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "optimal", "N": 12},
+    {"N": 1, "generatorA": [[0, 1], [1, 1]], "generatorB": [[0, 1], [1, 1]],
+     "sectors": [{"n": 0, "e": 0.6}, {"n": 1, "e": 0.8}]},
+])
+def test_scaling_state_takes_family_names_only(capsys, tmp_path, spec):
+    # a spec path would fix N and print one cost on every row
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    for state in (str(path), f"flat,{path}"):
+        code, out, err = run(capsys, "scaling", "--state", state, "--N-range", "3..5")
+        assert (code, out) == (1, "")
+        assert err == (f"frame-sync: error: scaling takes family names only, got {str(path)!r}; "
+                       "known: flat, sine-paper, optimal, single-sector\n")
+
+
+_SCALING_COSTS = ["variance", "likelihood", {"type": "likelihood", "qmax": 3},
+                  {"type": "fourier", "cq": [1.5, -1.0, -0.5, -0.1]}]
+
+
+@pytest.mark.parametrize("n_range", ["1..24", "500..512"])
+@pytest.mark.parametrize("cost_spec", _SCALING_COSTS)
+def test_scaling_rows_match_the_state_reference(capsys, tmp_path, cost_spec, n_range):
+    arg = cost_spec
+    if isinstance(cost_spec, dict):
+        arg = str(tmp_path / "cost.json")
+        (tmp_path / "cost.json").write_text(json.dumps(cost_spec))
+    code, out, _ = run(capsys, "scaling", "--state", ",".join(FAMILIES),
+                       "--N-range", n_range, "--cost", arg)
+    lo, hi = parse_n_range(n_range)
+    want = [[family, str(n), repr(min_joint_cost(
+                frame_state_from_spec(family, n, cost_spec, n_cap=COST_N_CAP).magnitudes(),
+                cost_from_spec(cost_spec, n)))]
+            for family in FAMILIES for n in range(lo, hi + 1)]
+    assert code == 0
+    assert data_rows(out)[1][:len(want)] == want   # bit for bit, as repr
+
+
+def _count_constructions(monkeypatch):
+    """Totals of every BipartiteFrameState and number of Generators built."""
+    built = {"states": [], "generators": 0}
+    state_init, gen_init = BipartiteFrameState.__post_init__, Generator.__post_init__
+
+    def counting_state(self):
+        built["states"].append(self.total)
+        state_init(self)
+
+    def counting_generator(self):
+        built["generators"] += 1
+        gen_init(self)
+
+    monkeypatch.setattr(BipartiteFrameState, "__post_init__", counting_state)
+    monkeypatch.setattr(Generator, "__post_init__", counting_generator)
+    return built
+
+
+def test_scaling_builds_no_state(capsys, monkeypatch):
+    built = _count_constructions(monkeypatch)
+    for cost in ("variance", "likelihood"):
+        code, out, _ = run(capsys, "scaling", "--N-range", "496..512", "--cost", cost)
+        assert code == 0 and len(data_rows(out)[1]) == 3 * 18
+    assert built == {"states": [], "generators": 0}
+    code, _, _ = run(capsys, "cost", "--state", "optimal", "--N", "8", "--oracle")
+    assert code == 0 and built["states"] == [8]
+    code, _, _ = run(capsys, "sync-sim", "--N-range", "3..4", "--trials", "200")
+    assert code == 0 and built["states"] == [8, 3, 4]
+    assert built["generators"] == 3
+
+
+def test_scaling_refuses_a_profile_off_the_sector_gate(capsys, monkeypatch):
+    # scaling builds no state, so the profile itself carries the state's gate
+    off = np.full(5, math.sqrt((1.0 + 1e-11) / 5))
+    monkeypatch.setattr(states, "_optimal_profile", lambda n, cost: off)
+    code, out, err = run(capsys, "scaling", "--state", "optimal", "--N-range", "4..4")
+    assert (code, out) == (1, "")
+    assert err == "frame-sync: invalid input: sector amplitudes must have unit sum of squares\n"
 
 
 def test_sync_sim_single_n(capsys):

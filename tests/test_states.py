@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import framesync.states as states
 from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
-                       Generator, Ket, NotInvariantState, expand,
-                       flat_state, ket, likelihood_cost, min_joint_cost,
+                       Generator, Ket, NotInvariantState, expand, family_profile,
+                       flat_state, frameness_of_ket, ket, likelihood_cost, min_joint_cost,
                        sector_magnitudes, sine_state, single_sector_state,
                        tensor, optimal_frameness_state, variance_cost)
 from framesync.config import cost_from_spec
+from framesync.states import FAMILIES
 from conftest import level_preserving_unitary, random_frame_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -53,6 +55,52 @@ def test_single_sector_state_is_one_hot():
     np.testing.assert_allclose(s.magnitudes(), [0, 0, 1, 0], atol=0)
     with pytest.raises(ContractViolation):
         single_sector_state(3, level=4)
+
+
+@pytest.mark.parametrize("n_tot", [1, 2, 7, 64, 511])
+def test_family_profiles_are_their_states_magnitudes(n_tot):
+    # a family is its profile: the state adds no magnitude information
+    q3 = cost_from_spec({"type": "likelihood", "qmax": 3})
+    builders = {"flat": lambda n, cost: flat_state(n),
+                "sine-paper": lambda n, cost: sine_state(n),
+                "optimal": optimal_frameness_state,
+                "single-sector": lambda n, cost: single_sector_state(n, n // 2)}
+    assert set(builders) == set(FAMILIES)
+    for cost in (variance_cost(), likelihood_cost(n_tot), q3):
+        for family, build in builders.items():
+            got = family_profile(family, n_tot, cost, level=n_tot // 2)
+            assert got.shape == (n_tot + 1,) and got.dtype == float
+            assert got.tobytes() == build(n_tot, cost).magnitudes().tobytes(), family
+
+
+def test_family_profile_refusals():
+    with pytest.raises(ContractViolation, match="unknown family 'bogus'; known: flat, "
+                                                "sine-paper, optimal, single-sector"):
+        family_profile("bogus", 4)
+    with pytest.raises(ContractViolation, match="the optimal family needs a cost"):
+        family_profile("optimal", 4)
+    for family, name in (("flat", "flat"), ("sine-paper", "sine"), ("optimal", "optimal")):
+        with pytest.raises(ContractViolation, match=f"^{name} state needs total level >= 1$"):
+            family_profile(family, 0, variance_cost())
+    with pytest.raises(ContractViolation, match=r"sector level 4 outside 0\.\.3"):
+        family_profile("single-sector", 3, level=4)
+    assert family_profile("single-sector", 0).tolist() == [1.0]
+
+
+def test_family_profile_gate_is_the_sector_tolerance(monkeypatch):
+    # the state's 1e-12 gate, not min_joint_cost's looser 1e-10 one
+    cost = variance_cost()
+    off = np.full(5, math.sqrt((1.0 + 1e-11) / 5))
+    near = np.full(5, math.sqrt((1.0 + 1e-13) / 5))
+    min_joint_cost(off, cost)   # the cost gate alone would take it
+    for profile, ok in ((off, False), (near, True),
+                        (np.full(5, np.nan), False), (np.full(4, 0.5), False)):
+        monkeypatch.setattr(states, "_optimal_profile", lambda n, c, p=profile: p)
+        if ok:
+            assert family_profile("optimal", 4, cost) is profile
+        else:
+            with pytest.raises(ContractViolation, match="unit sum of squares|one entry per sector"):
+                family_profile("optimal", 4, cost)
 
 
 def test_optimal_variance_profile_is_discrete_sine():
@@ -443,6 +491,16 @@ def test_sector_magnitudes_rejects_non_eigenstate():
     g = Generator.ladder(2)
     with pytest.raises(NotInvariantState, match=r"level-sum support \[0, 2\]"):
         sector_magnitudes(ket([1, 0, 0, 1]).normalized(), g, g)
+
+
+@pytest.mark.parametrize("n_tot", [-2, -1])
+def test_sector_magnitudes_refuses_a_negative_total_level(n_tot):
+    psi, ga, gb = ket([1.0]), Generator(((n_tot, 1),)), Generator.ladder(1)
+    message = f"^total level {n_tot} has no sectors; sector form needs N >= 0$"
+    with pytest.raises(ContractViolation, match=message):
+        sector_magnitudes(psi, ga, gb)
+    with pytest.raises(ContractViolation, match=message):
+        frameness_of_ket(psi, ga, gb, variance_cost())
 
 
 def test_sector_magnitudes_dimension_gate():
