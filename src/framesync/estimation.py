@@ -26,16 +26,18 @@ from .core import NORM_ATOL, ContractViolation, RandomSource
 
 TWO_PI = 2.0 * math.pi
 
-GRID_POINTS = 360   # oracle grid points per free phase
 RESTARTS = 8        # oracle descent restarts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostFunction:
-    """Even cosine-series cost; admissible means c_q <= 0 for every q >= 1."""
+    """Even cosine-series cost; admissible means c_q <= 0 for every q >= 1.
+
+    ``cq[q - 1]`` is c_q, stored as a read-only float64 array.
+    """
 
     c0: float
-    cq: tuple
+    cq: np.ndarray
 
     def __post_init__(self):
         c0 = float(self.c0)
@@ -47,12 +49,21 @@ class CostFunction:
         bad = np.flatnonzero(cq > 0.0) + 1
         if bad.size:
             raise ContractViolation(f"cost is not admissible: c_q > 0 at q = {bad.tolist()}")
+        cq.setflags(write=False)
         object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "cq", tuple(cq.tolist()))
+        object.__setattr__(self, "cq", cq)
 
     @property
     def qmax(self) -> int:
-        return len(self.cq)
+        return self.cq.size
+
+    def band(self, size: int) -> np.ndarray:
+        """[0, c_1, ..., c_{size-1}]: the coefficient of each lag 0..size-1,
+        zero past q_max."""
+        band = np.zeros(size)
+        cq = self.cq[:size - 1]
+        band[1:cq.size + 1] = cq
+        return band
 
     def value(self, phi):
         """c(phi), vectorized over phi."""
@@ -92,7 +103,7 @@ def _magnitudes(e) -> np.ndarray:
 def min_joint_cost(e, cost: CostFunction) -> float:
     """Minimum average cost over all joint measurements, from magnitudes alone."""
     m = _magnitudes(e)
-    cq = np.asarray(cost.cq[:m.size - 1])
+    cq = cost.cq[:m.size - 1]
     lags = np.correlate(m, m, "full")[m.size:m.size + cq.size]  # sum_n m_n m_{n+q}, q >= 1
     return cost.c0 + float(cq @ lags)
 
@@ -173,30 +184,9 @@ def _seed_weights(e, cost: CostFunction):
     band[n' - n] above the diagonal, then (c_q conj(e_n)) e_{n+q}.
     """
     e = np.asarray(e, dtype=complex)
-    cq = cost.cq[:e.size - 1]
-    band = np.zeros(e.size)
-    band[1:len(cq) + 1] = cq
     levels = np.arange(e.size)
-    coeffs = np.triu(band[np.abs(levels - levels[:, None])], 1)
+    coeffs = np.triu(cost.band(e.size)[np.abs(levels - levels[:, None])], 1)
     return cost.c0, coeffs * e.conj()[:, None] * e
-
-
-def _grid_search(c0, h, grid_points):
-    """Exhaustive search of the phase grid, at most 2 free phases.
-
-    Every grid point is one column u = (1, p) of a single broadcast, with the
-    free phases p on a meshgrid, valued c0 + Re(u^dagger H u).  Ties keep the
-    first grid point in lexicographic order.
-    """
-    n_levels = h.shape[0]
-    if not h.any():  # no weights, or a single level
-        return c0, np.zeros(n_levels)
-    axis = TWO_PI * np.arange(grid_points) / grid_points
-    theta = np.array(np.meshgrid(*[axis] * (n_levels - 1), indexing="ij")).reshape(n_levels - 1, -1)
-    u = np.exp(1j * np.vstack((np.zeros(theta.shape[1]), theta)))
-    vals = c0 + (u.conj() * (h @ u)).sum(axis=0).real
-    k = int(np.argmin(vals))
-    return float(vals[k]), np.concatenate(([0.0], theta[:, k]))
 
 
 def _newton_polish(c0, h, sym, theta):
@@ -288,15 +278,12 @@ def brute_force_min_cost(e, cost: CostFunction, *,
                          rng: np.random.Generator | None = None) -> float:
     """Search covariant rank-one seeds for the minimum average cost.
 
-    Up to 2 free phases the search is exhaustive on ``GRID_POINTS`` per
-    phase; beyond, each of ``RESTARTS`` random starts drawn from the numpy
-    Generator ``rng`` (default ``RandomSource(0).generator()``) takes three
-    sweeps of coordinate descent with exact line search, then Newton steps
-    with a Gershgorin shift and backtracking.  It uses no eigensolver and no
-    closed form.  Returns the best value found, the cost of a real seed.
+    Each of ``RESTARTS`` random starts drawn from the numpy Generator ``rng``
+    (default ``RandomSource(0).generator()``) takes three sweeps of
+    coordinate descent with exact line search, then Newton steps with a
+    Gershgorin shift and backtracking.  It uses no eigensolver and no closed
+    form.  Returns the best value found, the cost of a real seed.
     """
-    free = _magnitudes(e).size - 1  # validates normalization
+    _magnitudes(e)  # validates normalization
     c0, h = _seed_weights(e, cost)
-    if free <= 2:
-        return _grid_search(c0, h, GRID_POINTS)[0]
     return _coordinate_descent(c0, h, rng or RandomSource(0).generator())[0]

@@ -168,9 +168,7 @@ def _optimal_profile(n_tot: int, cost: CostFunction) -> np.ndarray:
     dim the middle coordinate is rescaled by sqrt(2) to keep it symmetric.
     """
     dim = n_tot + 1
-    band = np.zeros(dim)
-    cq = np.asarray(cost.cq[:dim - 1])
-    band[1:cq.size + 1] = -0.5 * cq
+    band = 0.5 * np.abs(cost.band(dim))   # -c_q / 2, its zeros +0.0: eigh reads their sign
     if band[1] > 0.0 and not band[2:].any():           # tridiagonal
         n = np.arange(1, dim + 1)
         return math.sqrt(2.0 / (dim + 1)) * np.sin(np.pi * n / (dim + 1))

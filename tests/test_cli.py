@@ -49,10 +49,10 @@ def test_parse_n_range():
 
 
 def test_cost_from_spec_variants():
-    assert cost_from_spec(None).cq == (-2.0,)
+    assert cost_from_spec(None).cq.tolist() == [-2.0]
     assert cost_from_spec("likelihood", 5).qmax == 5
     c = cost_from_spec({"type": "fourier", "cq": [1.0, -0.5, -0.25]})
-    assert (c.c0, c.cq) == (1.0, (-0.5, -0.25))
+    assert (c.c0, c.cq.tolist()) == (1.0, [-0.5, -0.25])
     with pytest.raises(UsageError):
         cost_from_spec("likelihood")          # no state context
     with pytest.raises(UsageError):
@@ -237,12 +237,23 @@ def test_cost_default_is_flat_four(capsys):
     assert float(fr) == pytest.approx(-0.4, abs=1e-12)
 
 
-def test_cost_oracle_columns(capsys):
+def test_cost_oracle_columns(capsys, tmp_path):
     code, out, _ = run(capsys, "cost", "--state", "flat", "--N", "2", "--oracle")
     assert code == 0
     header, rows = data_rows(out)
     assert header[-2:] == ["oracle_cost", "oracle_gap"]
-    assert abs(float(rows[0][-1])) < 1e-3
+    assert abs(float(rows[0][-1])) <= 1e-12
+    # complex amplitudes at N = 2, where a 360-point phase grid stopped 2.4e-5 above the optimum
+    spec = tmp_path / "complex.json"
+    ladder = [[0, 1], [1, 1], [2, 1]]
+    spec.write_text(json.dumps({
+        "N": 2, "generatorA": ladder, "generatorB": ladder,
+        "sectors": [{"n": 0, "e": [0.3, 0.4]}, {"n": 1, "e": [0.5, -0.1]},
+                    {"n": 2, "e": [0.2, 0.6708203932499369]}]}))
+    code, out, _ = run(capsys, "cost", "--state", str(spec), "--oracle")
+    assert code == 0
+    _, rows = data_rows(out)
+    assert abs(float(rows[0][-1])) <= 1e-12
 
 
 def test_cost_oracle_cells_are_plain_numbers(capsys):
