@@ -7,7 +7,7 @@ cross-checks, and demonstrations of why classical messages alone cannot do
 the job.
 """
 from .core import (ATOL, ContractViolation, DensityMatrix, Generator, Ket,
-                   RandomSource, basis_ket, fidelity, ket, measure, tensor)
+                   RandomSource, fidelity, measure)
 from .estimation import (CostFunction, EstimateDensity, brute_force_min_cost,
                          likelihood_cost, min_joint_cost, sample_estimate,
                          variance_cost)

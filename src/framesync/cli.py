@@ -27,7 +27,7 @@ from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, FAMILIES, GRID_CAP,
 from .core import ContractViolation, RandomSource, fidelity
 from .estimation import TWO_PI, brute_force_min_cost, min_joint_cost
 from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
-                        finite_group_align, frameness, monte_carlo_cost,
+                        finite_group_align, monte_carlo_cost,
                         no_go_witness, teleport_with_mismatch)
 from .states import family_profile
 
@@ -133,15 +133,15 @@ def cmd_cost(cfg: RunConfig) -> ReportTable:
         columns += ["oracle_cost", "oracle_gap"]
     table = ReportTable(columns)
 
-    row = [_state_label(cfg), state.total, cost_label(cost_spec), value,
-           frameness(state, cost)]
+    label = _state_label(cfg)
+    row = [label, state.total, cost_label(cost_spec), value, -value]
     if cfg.oracle:
         oracle = brute_force_min_cost(state.amps, cost,
                                       rng=RandomSource(cfg.seed).split(0).generator())
         row += [oracle, oracle - value]
     table.add(*row)
 
-    if _state_label(cfg) == "sine-paper":
+    if label == "sine-paper":
         best = min_joint_cost(family_profile("optimal", state.total, cost), cost)
         if value > best + 1e-12:
             table.notes.append(

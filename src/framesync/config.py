@@ -33,8 +33,8 @@ COST_N_CAP = 512   # profile-only commands
 DEMO_N_CAP = 64    # anything that expands a full statevector
 GENERATOR_DIM_CAP = 8 * (DEMO_N_CAP + 1)   # basis slots of one spec-file generator
 GRID_CAP = 4096    # teleport-demo phase grid points
-ALIGN_WORK_CAP = 1 << 17   # align attempts d * trials, about 0.1 s at d = 64 on 2 cores
-SYNC_WORK_CAP = 1 << 19    # sync-sim trials * N values, about 8 s at N = 64 on 2 cores
+ALIGN_WORK_CAP = 1 << 17   # align attempts d * trials, about 0.04 s at d = 64 on 2 cores
+SYNC_WORK_CAP = 1 << 19    # sync-sim trials * N values, about 7 s at N = 64 on 2 cores
 COST_COEFF_CAP = 1e100     # keeps every cost, its square and a sum over trials finite
 
 

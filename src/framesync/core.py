@@ -63,23 +63,9 @@ class Ket:
             raise ContractViolation("cannot normalize the zero vector")
         return Ket(self.amplitudes / n)
 
-    def inner(self, other: "Ket") -> complex:
-        """Inner product <self|other> (conjugate-linear in self)."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def outer(self) -> np.ndarray:
         a = self.amplitudes
         return np.outer(a, a.conj())
-
-
-def ket(values) -> Ket:
-    return Ket(np.asarray(values, dtype=complex))
-
-
-def basis_ket(dim: int, index: int) -> Ket:
-    a = np.zeros(dim, dtype=complex)
-    a[index] = 1.0
-    return Ket(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +94,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[-1]
-
-    @classmethod
-    def pure(cls, psi: Ket) -> "DensityMatrix":
-        return cls(psi.normalized().outer())
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +151,6 @@ class Generator:
     def min_level(self) -> int:
         return int(self._table[0, 0])
 
-    @property
-    def max_level(self) -> int:
-        return int(self._table[0, -1])
-
     def eigenvalues(self) -> np.ndarray:
         """Per-basis-slot eigenvalue, degeneracies expanded."""
         return np.repeat(self._table[0], self._table[1])
@@ -229,15 +207,6 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.default_rng(ss)
-
-
-def tensor(a, b):
-    """Kronecker product; Ket x Ket gives a Ket, arrays give an array."""
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Ket) or isinstance(b, Ket):
-        raise ContractViolation("tensor arguments must both be Kets or both be operators")
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def measure(state: Ket, dim: int, rng: np.random.Generator):

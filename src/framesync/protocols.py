@@ -15,14 +15,13 @@ alignment for finite groups.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (NORM_ATOL, ContractViolation, DensityMatrix, Generator, Ket,
-                   RandomSource, tensor)
+                   RandomSource)
 from .estimation import (TWO_PI, CostFunction, EstimateDensity, min_joint_cost,
                          sample_estimate)
 from .states import BipartiteFrameState, _slot_pairs, expand, sector_magnitudes
@@ -43,23 +42,13 @@ def alice_measure(state: BipartiteFrameState) -> tuple:
     degeneracy.
 
     The outcome is a number k in 0..d_A - 1, the index into the returned pair
-    (probabilities, bob_states) of read-only arrays of shapes (d_A,) and
-    (d_A, d_B): row k is outcome k's probability and Bob's normalized
-    collapsed state.  The pair is cached per state, so a sync run and its
-    residual check share one table.
+    (probabilities, bob_states) of arrays of shapes (d_A,) and (d_A, d_B):
+    row k is outcome k's probability and Bob's normalized collapsed state.
     """
-    return _alice_outcomes(state)
-
-
-@functools.lru_cache(maxsize=8)
-def _alice_outcomes(state: BipartiteFrameState) -> tuple:
     psi = expand(state).amplitudes.reshape(state.gen_a.dim, state.gen_b.dim)
     cond = np.fft.fft(psi, axis=0, norm="ortho")   # row k: Bob's unnormalized state
     probs = np.einsum("ij,ij->i", cond, cond.conj()).real
-    bob_states = cond / np.sqrt(probs)[:, None]
-    probs.setflags(write=False)
-    bob_states.setflags(write=False)
-    return probs, bob_states
+    return probs, cond / np.sqrt(probs)[:, None]
 
 
 def sector_form_residual(state: BipartiteFrameState) -> float:
@@ -186,15 +175,14 @@ def fidelity_after_relay(alpha, phi):
     """Overlap of the relayed coefficients with their intended target.
 
     The target of sending numbers is the state carrying those coefficients in
-    the receiver's basis; the relay hits it exactly for every mismatch, which
-    is the contrast to :func:`teleport_with_mismatch`.  A 1-d array of phases
-    gives one fidelity per phase.
+    the receiver's basis, which is the relayed state itself: the relay hits
+    it exactly for every mismatch, which is the contrast to
+    :func:`teleport_with_mismatch`.  A 1-d array of phases gives one
+    fidelity per phase.
     """
-    alpha = np.asarray(alpha, dtype=complex)
     relayed = si_teleport(alpha, phi)
     relayed = relayed.amplitudes if isinstance(relayed, Ket) else relayed
-    overlap = np.sum(_rotated(alpha, phi).conj() * relayed, axis=-1)
-    fidelities = np.abs(overlap) ** 2
+    fidelities = np.abs(np.sum(relayed.conj() * relayed, axis=-1)) ** 2
     return fidelities if fidelities.ndim else float(fidelities)
 
 
@@ -280,7 +268,7 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
     if psi0.dim != gen_s.dim:
         raise ContractViolation("input dimension does not match its generator")
 
-    joint = tensor(psi0, e_ket).amplitudes
+    joint = np.kron(psi0.amplitudes, e_ket.amplitudes)
     eig_s = gen_s.eigenvalues()
     eig_b = gen_b.eigenvalues()
     shape = (gen_s.dim, gen_a.dim, gen_b.dim)
@@ -310,24 +298,27 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
                          invariance_residual, input_ui_norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupTable:
     """Finite group as a multiplication table, axioms checked up front.
 
-    ``table`` is the tuple of rows; products and inverses are read from
-    read-only arrays built by the same check.
+    ``table`` is the read-only (d, d) int64 array of products, row a column b
+    holding ab; ``identity`` and the read-only ``inverses`` are set by the
+    same check.
     """
 
-    table: tuple
+    table: np.ndarray
+    identity: int = field(init=False)
+    inverses: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        t = tuple(tuple(int(x) for x in row) for row in self.table)
-        d = len(t)
-        if d == 0 or any(len(row) != d for row in t):
+        rows = [[int(x) for x in row] for row in self.table]
+        d = len(rows)
+        if d == 0 or any(len(row) != d for row in rows):
             raise ContractViolation("table must be square and nonempty")
-        if any(not 0 <= x < d for row in t for x in row):
+        if any(not 0 <= x < d for row in rows for x in row):
             raise ContractViolation("table entries must be element indices")
-        m = np.array(t)
+        m = np.array(rows, dtype=np.int64)
         elements = np.arange(d)
         two_sided = (m == elements).all(axis=1) & (m == elements[:, None]).all(axis=0)
         if not two_sided.any():
@@ -343,37 +334,25 @@ class GroupTable:
         m.setflags(write=False)
         inverses = np.argmax(m == identity, axis=1)   # first c with a c = e, row by row
         inverses.setflags(write=False)
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "_identity", identity)
-        object.__setattr__(self, "_products", m)
-        object.__setattr__(self, "_inverses", inverses)
+        object.__setattr__(self, "table", m)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverses", inverses)
 
     @classmethod
     def cyclic(cls, order: int) -> "GroupTable":
         if order < 1:
             raise ContractViolation("cyclic group needs order >= 1")
-        return cls(tuple(tuple((a + b) % order for b in range(order))
-                         for a in range(order)))
+        elements = np.arange(order)
+        return cls((elements[:, None] + elements) % order)
 
     @property
     def order(self) -> int:
         return len(self.table)
 
-    @property
-    def identity(self) -> int:
-        return self._identity
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self._products[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self._inverses[a])
-
-
-@functools.lru_cache(maxsize=256)
-def _correlated_state(row: tuple) -> Ket:
-    """Uniform pair sum_h |h>|row[h]> / sqrt(d), keyed on the group's row of
-    the mismatch (row[h] = mismatch * h), so a cache miss builds no group."""
+def _correlated_state(row: np.ndarray) -> Ket:
+    """Uniform pair sum_h |h>|row[h]> / sqrt(d), from the group's row of the
+    mismatch (row[h] = mismatch * h)."""
     d = len(row)
     amps = np.zeros((d, d), dtype=complex)
     amps[np.arange(d), row] = 1.0 / math.sqrt(d)
@@ -414,4 +393,4 @@ def finite_group_align(group: GroupTable, mismatch: int, trials: int,
     p_b = np.einsum("ij,ij->ij", posterior, posterior.conj()).real
     b = np.minimum(np.count_nonzero(np.cumsum(p_b, axis=1)[a] <= u[:, 1, None], axis=1), d - 1)
     b = np.where(p_b[a, b] <= 0.0, np.argmax(p_b, axis=1)[a], b)
-    return group._products[b, group._inverses[a]]
+    return group.table[b, group.inverses[a]]

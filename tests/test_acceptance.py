@@ -15,10 +15,10 @@ import framesync.states
 from framesync import (EstimateDensity, GroupTable, RandomSource, alice_measure,
                        brute_force_min_cost, expand,
                        fidelity, finite_group_align, flat_state, frameness,
-                       frameness_of_ket, ket, likelihood_cost,
+                       frameness_of_ket, likelihood_cost,
                        min_joint_cost, monte_carlo_cost,
                        no_go_witness, optimal_frameness_state, sine_state,
-                       teleport_with_mismatch, tensor, variance_cost,
+                       teleport_with_mismatch, variance_cost,
                        Generator, Ket)
 from framesync.cli import main
 from conftest import level_preserving_unitary, random_frame_state, random_unit
@@ -153,8 +153,8 @@ def test_criterion_05_likelihood_density_peak_and_cost():
 
 def test_criterion_06_teleportation_mismatch_curve():
     with criterion("teleportation under frame mismatch", 10):
-        plus = ket([1.0, 1.0]).normalized()
-        zero = ket([1.0, 0.0])
+        plus = Ket([1.0, 1.0]).normalized()
+        zero = Ket([1.0, 0.0])
         grid = TWO_PI * np.arange(1024) / 1024
         total = 0.0
         for phi in grid:
@@ -167,15 +167,15 @@ def test_criterion_06_teleportation_mismatch_curve():
 
         gen = np.random.default_rng(808)
         for _ in range(20):
-            psi = ket(gen.normal(size=2) + 1j * gen.normal(size=2)).normalized()
+            psi = Ket(gen.normal(size=2) + 1j * gen.normal(size=2)).normalized()
             assert abs(fidelity(teleport_with_mismatch(psi, 0.0), psi) - 1.0) <= 1e-12
 
 
 def test_criterion_07_no_go_witness_reports():
     with criterion("algebraic no-go witness", 1):
-        plus = ket([1.0, 1.0]).normalized()
+        plus = Ket([1.0, 1.0]).normalized()
         g2 = Generator.ladder(2)
-        bell = ket([1.0, 0.0, 0.0, 1.0]).normalized()
+        bell = Ket([1.0, 0.0, 0.0, 1.0]).normalized()
         shared = expand(flat_state(1))
         for resource in (bell, shared):
             rep = no_go_witness(plus, g2, resource, g2, g2)
@@ -205,8 +205,8 @@ def test_criterion_09_frameness_invariance_and_ordering():
             for cost in (variance_cost(), likelihood_cost(state.total)):
                 base = frameness_of_ket(psi, state.gen_a, state.gen_b, cost)
                 for _ in range(20):
-                    u = tensor(level_preserving_unitary(gen, state.gen_a),
-                               level_preserving_unitary(gen, state.gen_b))
+                    u = np.kron(level_preserving_unitary(gen, state.gen_a),
+                                level_preserving_unitary(gen, state.gen_b))
                     moved = Ket(u @ psi.amplitudes)
                     got = frameness_of_ket(moved, state.gen_a, state.gen_b, cost)
                     assert abs(got - base) <= 1e-10

@@ -94,7 +94,7 @@ def test_ket_from_spec_names_and_dicts():
     np.testing.assert_allclose(np.abs(psi.amplitudes), [2**-0.5] * 2, atol=1e-15)
     assert gen.dim == 2
     psi, gen = ket_from_spec({"amplitudes": [[0, 0], [1, 0], [0, 0]]})
-    assert psi.dim == 3 and gen.max_level == 2
+    assert psi.dim == 3 and gen.levels[-1, 0] == 2
     with pytest.raises(UsageError):
         ket_from_spec({"amplitudes": [[1, 0], [1, 0]]})   # not normalized
     with pytest.raises(UsageError):

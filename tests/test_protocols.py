@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from framesync import (BipartiteFrameState, ContractViolation, DensityMatrix, Generator,
                        GroupTable, Ket, RandomSource,
-                       SyncProtocol, alice_measure, basis_ket,
+                       SyncProtocol, alice_measure,
                        sector_form_residual, fidelity, fidelity_after_relay,
                        finite_group_align, flat_state, frameness,
-                       frameness_of_ket, ket, likelihood_cost, min_joint_cost,
+                       frameness_of_ket, likelihood_cost, min_joint_cost,
                        monte_carlo_cost, no_go_witness, optimal_frameness_state,
                        si_teleport, sine_state, single_sector_state, expand,
-                       teleport_with_mismatch, tensor, variance_cost)
+                       teleport_with_mismatch, variance_cost)
 import framesync.cli as cli
 import framesync.core as core
 import framesync.protocols as protocols
@@ -28,7 +28,7 @@ seeds = st.integers(0, 2**32 - 1)
 # --------------------------------------------------- Fourier measurement
 
 def _dft_outcomes_by_loop(state):
-    """Loop reference of _alice_outcomes: one Fourier row of Alice's space at
+    """Loop reference of alice_measure: one Fourier row of Alice's space at
     a time, projected onto the shared state.  Item k is outcome k's
     (probability, Bob's normalized state)."""
     d_a = state.gen_a.dim
@@ -46,8 +46,7 @@ def _dft_outcomes_by_loop(state):
 @given(seed=seeds, n_tot=st.integers(1, 4), max_deg=st.integers(1, 3))
 def test_alice_outcomes_match_the_dft_loop_reference(seed, n_tot, max_deg):
     state = random_frame_state(np.random.default_rng(seed), n_tot, max_deg)
-    protocols._alice_outcomes.cache_clear()
-    probs, bob = protocols._alice_outcomes(state)
+    probs, bob = alice_measure(state)
     want = _dft_outcomes_by_loop(state)
     assert probs.shape == (len(want),) and bob.shape == (len(want), state.gen_b.dim)
     for k, (p, bob_k) in enumerate(want):
@@ -58,23 +57,11 @@ def test_alice_outcomes_match_the_dft_loop_reference(seed, n_tot, max_deg):
 def test_alice_measure_shared_pair_frozen():
     probs, bob = alice_measure(flat_state(1))
     assert probs.shape == (2,) and bob.shape == (2, 2)
-    plus = ket([1.0, 1.0]).normalized()
-    minus = ket([1.0, -1.0]).normalized()
+    plus = Ket([1.0, 1.0]).normalized()
+    minus = Ket([1.0, -1.0]).normalized()
     for k, want in enumerate((plus, minus)):
         assert probs[k] == pytest.approx(0.5, abs=1e-12)
         assert abs(np.vdot(want.amplitudes, bob[k])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_alice_measure_tables_are_read_only():
-    # the pair is cached per state, so a write would poison every later caller
-    state = flat_state(2)
-    probs, bob = alice_measure(state)
-    with pytest.raises(ValueError):
-        probs[0] = 1.0
-    with pytest.raises(ValueError):
-        bob[0, 0] = 1.0
-    assert alice_measure(state)[0] is probs
-    np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,14 +205,6 @@ def test_monte_carlo_cost_runs_one_protocol_trial_per_trial(monkeypatch):
     assert len(calls) == 2500
 
 
-def test_sync_sim_enumerates_alice_outcomes_once_per_n(monkeypatch, capsys):
-    protocols._alice_outcomes.cache_clear()
-    assert main(["sync-sim", "--N-range", "2..4", "--trials", "200"]) == 0
-    capsys.readouterr()
-    info = protocols._alice_outcomes.cache_info()
-    assert (info.misses, info.hits) == (3, 3)   # one evaluation per N, reused by the residual
-
-
 def test_monte_carlo_cost_coverage_over_many_seeds():
     # 4-sigma misses should be rare: demand at least 95 hits in 100 runs
     state = flat_state(2)
@@ -272,8 +251,8 @@ def test_frameness_of_ket_invariant_under_level_preserving_unitaries():
     c = likelihood_cost(3)
     base = frameness_of_ket(psi, state.gen_a, state.gen_b, c)
     for _ in range(10):
-        u = tensor(level_preserving_unitary(gen, state.gen_a),
-                   level_preserving_unitary(gen, state.gen_b))
+        u = np.kron(level_preserving_unitary(gen, state.gen_a),
+                    level_preserving_unitary(gen, state.gen_b))
         moved = Ket(u @ psi.amplitudes)
         assert frameness_of_ket(moved, state.gen_a, state.gen_b, c) == \
             pytest.approx(base, abs=1e-10)
@@ -290,7 +269,7 @@ def test_si_teleport_coefficients_always_arrive():
 
 
 def test_teleport_plus_state_fidelity_curve():
-    plus = ket([1.0, 1.0]).normalized()
+    plus = Ket([1.0, 1.0]).normalized()
     for phi in np.linspace(0.0, TWO_PI, 17):
         rho = teleport_with_mismatch(plus, phi)
         got = fidelity(rho, plus)
@@ -298,7 +277,7 @@ def test_teleport_plus_state_fidelity_curve():
 
 
 def test_teleport_level_populations_never_suffer():
-    for v in (basis_ket(2, 0), basis_ket(2, 1)):
+    for v in (Ket(np.eye(2)[0]), Ket(np.eye(2)[1])):
         rho = teleport_with_mismatch(v, 2.31)
         assert fidelity(rho, v) == pytest.approx(1.0, abs=1e-12)
 
@@ -308,19 +287,19 @@ def test_teleport_level_populations_never_suffer():
 def test_teleport_without_mismatch_is_exact(seed):
     gen = np.random.default_rng(seed)
     a = gen.normal(size=2) + 1j * gen.normal(size=2)
-    psi = ket(a).normalized()
+    psi = Ket(a).normalized()
     rho = teleport_with_mismatch(psi, 0.0)
     assert fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_teleport_qutrit_needs_matching_resource():
-    qutrit = basis_ket(3, 1)
+    qutrit = Ket(np.eye(3)[1])
     rho = teleport_with_mismatch(qutrit, 0.3)
     assert fidelity(rho, qutrit) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_teleport_output_is_a_valid_density_matrix():
-    plus = ket([1.0, 1.0]).normalized()
+    plus = Ket([1.0, 1.0]).normalized()
     rho = teleport_with_mismatch(plus, 1.0)
     assert isinstance(rho, DensityMatrix)   # constructor already validates
 
@@ -355,7 +334,7 @@ def _teleport_by_outcome(psi, phi):
 def test_teleport_matches_the_per_outcome_protocol(d):
     gen = np.random.default_rng(40 + d)
     for _ in range(5):
-        psi = ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
+        psi = Ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
         phi = float(gen.uniform(0.0, TWO_PI))
         rho = teleport_with_mismatch(psi, phi)
         np.testing.assert_allclose(rho.entries, _teleport_by_outcome(psi.amplitudes, phi),
@@ -367,7 +346,7 @@ def test_teleport_kernel_over_a_phase_grid_matches_the_per_outcome_protocol(d):
     gen = np.random.default_rng(70 + d)
     phis = np.concatenate([np.linspace(0.0, TWO_PI, 25), gen.uniform(-10.0, 10.0, 8)])
     for _ in range(3):
-        psi = ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
+        psi = Ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
         stack = teleport_with_mismatch(psi, phis)
         assert isinstance(stack, DensityMatrix) and stack.dim == d
         assert stack.entries.shape == (phis.size, d, d) and not stack.entries.flags.writeable
@@ -377,7 +356,7 @@ def test_teleport_kernel_over_a_phase_grid_matches_the_per_outcome_protocol(d):
 
 
 def test_teleport_grid_runs_the_density_checks_on_every_phase(monkeypatch):
-    plus = ket([1.0, 1.0]).normalized()
+    plus = Ket([1.0, 1.0]).normalized()
     with pytest.raises(ContractViolation, match="phase must be finite"):
         teleport_with_mismatch(plus, np.array([0.0, np.nan]))
     with pytest.raises(ContractViolation, match="1-d"):
@@ -410,8 +389,8 @@ def _ladder2():
 
 
 def test_witness_shared_pair_frozen_report():
-    plus = ket([1.0, 1.0]).normalized()
-    bell = ket([0.0, 1.0, 1.0, 0.0]).normalized()
+    plus = Ket([1.0, 1.0]).normalized()
+    bell = Ket([0.0, 1.0, 1.0, 0.0]).normalized()
     rep = no_go_witness(plus, _ladder2(), bell, _ladder2(), _ladder2())
     assert rep.levels == (-1, 0, 1)
     np.testing.assert_allclose(rep.weights, (0.25, 0.5, 0.25), atol=1e-12)
@@ -423,7 +402,7 @@ def test_witness_shared_pair_frozen_report():
 
 def test_witness_weights_sum_to_one():
     state = random_frame_state(np.random.default_rng(6), 2, 2)
-    psi0 = ket([0.5, 0.5, 0.5, 0.5])
+    psi0 = Ket([0.5, 0.5, 0.5, 0.5])
     rep = no_go_witness(psi0, Generator.ladder(4), expand(state),
                         state.gen_a, state.gen_b)
     assert sum(rep.weights) == pytest.approx(1.0, abs=1e-10)
@@ -436,15 +415,15 @@ def test_witness_top_component_always_commutes(seed, n_tot, max_deg):
     gen = np.random.default_rng(seed)
     state = random_frame_state(gen, n_tot, max_deg)
     a = gen.normal(size=3) + 1j * gen.normal(size=3)
-    psi0 = ket(a).normalized()
+    psi0 = Ket(a).normalized()
     rep = no_go_witness(psi0, Generator.ladder(3), expand(state),
                         state.gen_a, state.gen_b)
     assert rep.invariance_residual < 1e-10
 
 
 def test_witness_invariant_input_has_zero_ui_norm():
-    zero = basis_ket(2, 0)
-    bell = ket([0.0, 1.0, 1.0, 0.0]).normalized()
+    zero = Ket(np.eye(2)[0])
+    bell = Ket([0.0, 1.0, 1.0, 0.0]).normalized()
     rep = no_go_witness(zero, _ladder2(), bell, _ladder2(), _ladder2())
     assert rep.input_ui_norm == pytest.approx(0.0, abs=1e-12)
 
@@ -475,12 +454,12 @@ def test_rank_one_residual_vanishes_on_constant_diagonal(c):
 
 
 def test_witness_dimension_gates():
-    plus = ket([1.0, 1.0]).normalized()
-    bell = ket([0.0, 1.0, 1.0, 0.0]).normalized()
+    plus = Ket([1.0, 1.0]).normalized()
+    bell = Ket([0.0, 1.0, 1.0, 0.0]).normalized()
     with pytest.raises(ContractViolation):
         no_go_witness(plus, Generator.ladder(3), bell, _ladder2(), _ladder2())
     with pytest.raises(ContractViolation):
-        no_go_witness(plus, _ladder2(), ket([1.0, 0.0]), _ladder2(), _ladder2())
+        no_go_witness(plus, _ladder2(), Ket([1.0, 0.0]), _ladder2(), _ladder2())
 
 
 # ------------------------------------------------------------ finite groups
@@ -488,9 +467,23 @@ def test_witness_dimension_gates():
 def test_cyclic_group_table():
     g = GroupTable.cyclic(5)
     assert g.order == 5 and g.identity == 0
-    assert g.mul(2, 4) == 1
-    assert g.inverse(3) == 2
-    assert g.mul(3, g.inverse(3)) == g.identity
+    assert g.table[2, 4] == 1
+    assert g.inverses[3] == 2
+    assert g.table[3, g.inverses[3]] == g.identity
+    assert g.table.dtype == np.int64 and g.table.shape == (5, 5)
+    assert not g.table.flags.writeable and not g.inverses.flags.writeable
+
+
+def test_cyclic_table_is_the_loop_built_sum_table():
+    for n in range(1, 65):
+        want = np.array([[(a + b) % n for b in range(n)] for a in range(n)])
+        np.testing.assert_array_equal(GroupTable.cyclic(n).table, want)
+
+
+@pytest.mark.parametrize("derived", ["identity", "inverses"])
+def test_group_table_derives_identity_and_inverses(derived):
+    with pytest.raises(TypeError):
+        GroupTable(((0, 1), (1, 0)), **{derived: 0})
 
 
 def test_group_table_rejects_broken_axioms():
@@ -558,8 +551,9 @@ def test_group_table_checks_match_the_loop_reference(table):
     want = _group_axiom_error(table)
     if want is None:
         group = GroupTable(table)
-        assert group.table == table
-        assert all(group.mul(a, group.inverse(a)) == group.identity for a in range(group.order))
+        np.testing.assert_array_equal(group.table, np.array(table))
+        elements = np.arange(group.order)
+        assert (group.table[elements, group.inverses] == group.identity).all()
     else:
         with pytest.raises(ContractViolation) as err:
             GroupTable(table)
@@ -588,7 +582,7 @@ def test_finite_group_alignment_is_exact(order):
 def test_finite_group_alignment_is_exact_in_a_non_abelian_group():
     # in S3, b a^-1 != a^-1 b, so a swapped product would misidentify mismatches
     group = GroupTable(_S3)
-    assert any(group.mul(a, b) != group.mul(b, a) for a in range(6) for b in range(6))
+    assert (group.table != group.table.T).any()
     root = RandomSource(77)
     for g in range(group.order):
         estimates = finite_group_align(group, g, 200, root.split(g).generator())
@@ -604,7 +598,7 @@ def _align_by_shots(group, mismatch, trials, rng):
     for _ in range(trials):
         a_out, posterior, _ = measure(state, d, rng)
         b_out, _, _ = measure(posterior, d, rng)
-        estimates.append(group.table[b_out][group.table[a_out].index(group.identity)])
+        estimates.append(group.table[b_out][list(group.table[a_out]).index(group.identity)])
     return np.array(estimates)
 
 
@@ -685,7 +679,6 @@ def test_align_run_checks_its_group_once(monkeypatch, capsys):
     check = GroupTable.__post_init__
     monkeypatch.setattr(GroupTable, "__post_init__",
                         lambda self: (calls.append(1), check(self))[1])
-    protocols._correlated_state.cache_clear()
     assert main(["align", "--d", "16", "--trials", "2"]) == 0
     capsys.readouterr()
     assert len(calls) == 1

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import framesync.states as states
 from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
                        Generator, Ket, NotInvariantState, expand, family_profile,
-                       flat_state, frameness_of_ket, ket, likelihood_cost, min_joint_cost,
+                       flat_state, frameness_of_ket, likelihood_cost, min_joint_cost,
                        sector_magnitudes, sine_state, single_sector_state,
-                       tensor, optimal_frameness_state, variance_cost)
+                       optimal_frameness_state, variance_cost)
 from framesync.config import cost_from_spec
 from framesync.states import FAMILIES
 from conftest import level_preserving_unitary, random_frame_state
@@ -18,8 +18,8 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def _total_op(ga, gb):
-    return (tensor(np.diag(ga.eigenvalues()), np.eye(gb.dim))
-            + tensor(np.eye(ga.dim), np.diag(gb.eigenvalues())))
+    return (np.kron(np.diag(ga.eigenvalues()), np.eye(gb.dim))
+            + np.kron(np.eye(ga.dim), np.diag(gb.eigenvalues())))
 
 
 # ---------------------------------------------------------- named profiles
@@ -470,8 +470,8 @@ def test_sector_magnitudes_invariant_under_level_preserving_unitaries():
     psi = expand(s)
     _, base = sector_magnitudes(psi, s.gen_a, s.gen_b)
     for _ in range(20):
-        u = tensor(level_preserving_unitary(gen, s.gen_a),
-                   level_preserving_unitary(gen, s.gen_b))
+        u = np.kron(level_preserving_unitary(gen, s.gen_a),
+                    level_preserving_unitary(gen, s.gen_b))
         _, mags = sector_magnitudes(Ket(u @ psi.amplitudes), s.gen_a, s.gen_b)
         np.testing.assert_allclose(mags, base, atol=1e-10)
 
@@ -490,12 +490,12 @@ def test_sector_magnitudes_handles_missing_levels():
 def test_sector_magnitudes_rejects_non_eigenstate():
     g = Generator.ladder(2)
     with pytest.raises(NotInvariantState, match=r"level-sum support \[0, 2\]"):
-        sector_magnitudes(ket([1, 0, 0, 1]).normalized(), g, g)
+        sector_magnitudes(Ket([1, 0, 0, 1]).normalized(), g, g)
 
 
 @pytest.mark.parametrize("n_tot", [-2, -1])
 def test_sector_magnitudes_refuses_a_negative_total_level(n_tot):
-    psi, ga, gb = ket([1.0]), Generator(((n_tot, 1),)), Generator.ladder(1)
+    psi, ga, gb = Ket([1.0]), Generator(((n_tot, 1),)), Generator.ladder(1)
     message = f"^total level {n_tot} has no sectors; sector form needs N >= 0$"
     with pytest.raises(ContractViolation, match=message):
         sector_magnitudes(psi, ga, gb)
@@ -506,4 +506,4 @@ def test_sector_magnitudes_refuses_a_negative_total_level(n_tot):
 def test_sector_magnitudes_dimension_gate():
     g = Generator.ladder(2)
     with pytest.raises(ContractViolation):
-        sector_magnitudes(ket([1, 0, 0]), g, g)
+        sector_magnitudes(Ket([1, 0, 0]), g, g)
