@@ -26,7 +26,7 @@ from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, FAMILIES, GRID_CAP,
                      parse_n_range, resource_from_spec, run_config, state_dict)
 from .core import ContractViolation, RandomSource, fidelity
 from .estimation import TWO_PI, brute_force_min_cost, min_joint_cost
-from .protocols import (GroupTable, sector_form_residual, fidelity_after_relay,
+from .protocols import (sector_form_residual, fidelity_after_relay,
                         finite_group_align, monte_carlo_cost,
                         no_go_witness, teleport_with_mismatch)
 from .states import family_profile
@@ -285,14 +285,13 @@ def cmd_align(cfg: RunConfig) -> ReportTable:
     if order * trials > ALIGN_WORK_CAP:
         raise UsageError(f"align work d * trials capped at {ALIGN_WORK_CAP}, "
                          f"got {order} * {trials}")
-    group = GroupTable.cyclic(order)
     root = RandomSource(cfg.seed)
 
     table = ReportTable(["g", "trials", "errors"])
     total_errors = 0
     for g in range(order):
         # one stream per mismatch, all its attempts in one block
-        estimates = finite_group_align(group, g, trials, root.split(g).generator())
+        estimates = finite_group_align(order, g, trials, root.split(g).generator())
         errors = int(np.count_nonzero(estimates != g))
         total_errors += errors
         table.add(g, trials, errors)

@@ -10,21 +10,21 @@ here checks.
 
 Also: two teleportation demos (coefficients survive classical relay, states
 do not), an algebraic witness for why no protocol can do better, and exact
-alignment for finite groups.
+alignment for a finite frame, shown on the cyclic group Z_d: one shared
+correlated pair fixes any finite-group mismatch, a continuous phase never.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (NORM_ATOL, ContractViolation, DensityMatrix, Generator, Ket,
                    RandomSource)
-from .estimation import (TWO_PI, CostFunction, EstimateDensity, min_joint_cost,
-                         sample_estimate)
-from .states import BipartiteFrameState, _slot_pairs, expand, sector_magnitudes
+from .estimation import TWO_PI, CostFunction, EstimateDensity, sample_estimate
+from .states import BipartiteFrameState, _slot_pairs, expand
 
 SUPPORT_ATOL = 1e-12   # amplitude threshold for level supports
 TRIAL_BLOCK = 1024     # Monte Carlo trials per derived RNG stream
@@ -88,7 +88,6 @@ class SyncProtocol:
     """
 
     def __init__(self, state: BipartiteFrameState):
-        self.state = state
         # a Python list: bisect on it costs less per draw than searchsorted
         self._cum = np.cumsum(alice_measure(state)[0]).tolist()
         if not abs(self._cum[-1] - 1.0) <= NORM_ATOL:
@@ -126,19 +125,6 @@ def monte_carlo_cost(state: BipartiteFrameState, cost: CostFunction, trials: int
     mean = float(np.mean(costs))
     sem = float(np.std(costs, ddof=1) / math.sqrt(trials))
     return mean, sem
-
-
-def frameness(state: BipartiteFrameState, cost: CostFunction) -> float:
-    """Negated optimal joint cost; never increases under local operations
-    and classical communication, which makes it a resource measure."""
-    return -min_joint_cost(state.magnitudes(), cost)
-
-
-def frameness_of_ket(e_ket: Ket, gen_a: Generator, gen_b: Generator,
-                     cost: CostFunction) -> float:
-    """Frameness straight from a ket, via sector block norms."""
-    _, mags = sector_magnitudes(e_ket, gen_a, gen_b)
-    return -min_joint_cost(mags, cost)
 
 
 def _phases(phi) -> np.ndarray:
@@ -298,87 +284,37 @@ def no_go_witness(psi0: Ket, gen_s: Generator, e_ket: Ket,
                          invariance_residual, input_ui_norm)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTable:
-    """Finite group as a multiplication table, axioms checked up front.
-
-    ``table`` is the read-only (d, d) int64 array of products, row a column b
-    holding ab; ``identity`` and the read-only ``inverses`` are set by the
-    same check.
-    """
-
-    table: np.ndarray
-    identity: int = field(init=False)
-    inverses: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        rows = [[int(x) for x in row] for row in self.table]
-        d = len(rows)
-        if d == 0 or any(len(row) != d for row in rows):
-            raise ContractViolation("table must be square and nonempty")
-        if any(not 0 <= x < d for row in rows for x in row):
-            raise ContractViolation("table entries must be element indices")
-        m = np.array(rows, dtype=np.int64)
-        elements = np.arange(d)
-        two_sided = (m == elements).all(axis=1) & (m == elements[:, None]).all(axis=0)
-        if not two_sided.any():
-            raise ContractViolation("table has no identity element")
-        identity = int(np.argmax(two_sided))
-        lacking = ~(m == identity).any(axis=1)
-        if lacking.any():
-            raise ContractViolation(f"element {np.argmax(lacking)} has no inverse")
-        broken = m[m] != m[:, m]                      # (ab)c != a(bc) at [a, b, c]
-        if broken.any():
-            a, b, c = np.unravel_index(np.argmax(broken), broken.shape)
-            raise ContractViolation(f"associativity fails at ({a}, {b}, {c})")
-        m.setflags(write=False)
-        inverses = np.argmax(m == identity, axis=1)   # first c with a c = e, row by row
-        inverses.setflags(write=False)
-        object.__setattr__(self, "table", m)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverses", inverses)
-
-    @classmethod
-    def cyclic(cls, order: int) -> "GroupTable":
-        if order < 1:
-            raise ContractViolation("cyclic group needs order >= 1")
-        elements = np.arange(order)
-        return cls((elements[:, None] + elements) % order)
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-
-def _correlated_state(row: np.ndarray) -> Ket:
-    """Uniform pair sum_h |h>|row[h]> / sqrt(d), from the group's row of the
-    mismatch (row[h] = mismatch * h)."""
-    d = len(row)
-    amps = np.zeros((d, d), dtype=complex)
-    amps[np.arange(d), row] = 1.0 / math.sqrt(d)
+def _correlated_state(order: int, mismatch: int) -> Ket:
+    """Uniform pair sum_h |h>|(mismatch + h) mod d> / sqrt(d) over Z_d."""
+    h = np.arange(order)
+    amps = np.zeros((order, order), dtype=complex)
+    amps[h, (mismatch + h) % order] = 1.0 / math.sqrt(order)
     return Ket(amps.reshape(-1))
 
 
-def finite_group_align(group: GroupTable, mismatch: int, trials: int,
+def finite_group_align(order: int, mismatch: int, trials: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Recover a finite-group frame mismatch exactly, once per shared pair.
+    """Recover a cyclic-group frame mismatch exactly, once per shared pair.
 
-    The parties share the uniform correlated state over group elements; Alice
-    measures in her element basis (the computational one), Bob in his (offset
-    by the mismatch), and the estimate (Bob's outcome) * (Alice's outcome)^-1
-    is exact every time.  Returns the int array of ``trials`` estimates.
+    The parties share the uniform correlated state over Z_d, d = ``order``;
+    Alice measures in her element basis (the computational one), Bob in his
+    (offset by the mismatch), and the estimate (b - a) mod d from Alice's
+    outcome a and Bob's b is exact every time.  Returns the int array of
+    ``trials`` estimates.
 
     All attempts are one block: ``rng.random((trials, 2))`` gives attempt i
     Alice's draw in column 0 and Bob's in column 1, the values and order of
     two ``core.measure`` calls per attempt on the numpy Generator ``rng``.
     """
-    d = group.order
+    d = order
+    if d < 1:
+        raise ContractViolation("cyclic group needs order >= 1")
     if not 0 <= mismatch < d:
         raise ContractViolation(f"mismatch must be an element index 0..{d - 1}")
     if trials < 1:
         raise ContractViolation("align needs at least one trial")
 
-    state = _correlated_state(group.table[mismatch]).require_unit(what="correlated state")
+    state = _correlated_state(d, mismatch).require_unit(what="correlated state")
     psi = state.amplitudes.reshape(d, d)              # Alice's element x Bob's
     u = rng.random((trials, 2))
 
@@ -393,4 +329,4 @@ def finite_group_align(group: GroupTable, mismatch: int, trials: int,
     p_b = np.einsum("ij,ij->ij", posterior, posterior.conj()).real
     b = np.minimum(np.count_nonzero(np.cumsum(p_b, axis=1)[a] <= u[:, 1, None], axis=1), d - 1)
     b = np.where(p_b[a, b] <= 0.0, np.argmax(p_b, axis=1)[a], b)
-    return group.table[b, group.inverses[a]]
+    return (b - a) % d

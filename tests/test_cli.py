@@ -1202,7 +1202,7 @@ def test_align_exact_rows(capsys):
 def test_align_draws_one_stream_per_mismatch(capsys, monkeypatch):
     seen = {}
 
-    def record(group, g, trials, rng):
+    def record(order, g, trials, rng):
         assert g not in seen and trials == 5
         seen[g] = (rng, rng.bit_generator.state)
         return np.full(trials, g)
@@ -1222,7 +1222,7 @@ def test_align_rows_are_unchanged(capsys):
 
 
 def test_align_default_trials_are_admitted_up_to_the_order_cap(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, trials, rng: np.full(trials, g))
+    monkeypatch.setattr(cli, "finite_group_align", lambda order, g, trials, rng: np.full(trials, g))
     code, out, _ = run(capsys, "align", "--d", "64")
     assert code == 0
     assert data_rows(out)[1][-1] == ["total", "64000", "0"]
@@ -1239,7 +1239,7 @@ def test_align_work_beyond_the_cap_exits_before_any_attempt(capsys, monkeypatch,
 
 def test_align_work_at_the_cap_is_admitted(capsys, monkeypatch):
     assert ALIGN_WORK_CAP % 64 == 0
-    monkeypatch.setattr(cli, "finite_group_align", lambda group, g, trials, rng: np.full(trials, g))
+    monkeypatch.setattr(cli, "finite_group_align", lambda order, g, trials, rng: np.full(trials, g))
     code, out, _ = run(capsys, "align", "--d", "64", "--trials", str(ALIGN_WORK_CAP // 64))
     assert code == 0 and data_rows(out)[1][-1] == ["total", str(ALIGN_WORK_CAP), "0"]
 

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framesync import (BipartiteFrameState, ContractViolation, DensityMatrix, Generator,
-                       GroupTable, Ket, RandomSource,
-                       SyncProtocol, alice_measure,
+                       Ket, RandomSource, SyncProtocol, alice_measure,
                        sector_form_residual, fidelity, fidelity_after_relay,
-                       finite_group_align, flat_state, frameness,
-                       frameness_of_ket, likelihood_cost, min_joint_cost,
+                       finite_group_align, flat_state, likelihood_cost, min_joint_cost,
                        monte_carlo_cost, no_go_witness, optimal_frameness_state,
-                       si_teleport, sine_state, single_sector_state, expand,
-                       teleport_with_mismatch, variance_cost)
+                       sector_magnitudes, si_teleport, sine_state, single_sector_state,
+                       expand, teleport_with_mismatch, variance_cost)
 import framesync.cli as cli
 import framesync.core as core
 import framesync.protocols as protocols
@@ -176,8 +174,9 @@ def test_sync_protocol_rejects_nothing_but_reuses_density():
 
 def test_sync_trial_reports_a_uniform_outcome_index():
     # Alice's message is the number k; each of the d_A outcomes has probability 1/d_A
-    proto = SyncProtocol(optimal_frameness_state(6, variance_cost()))
-    d_a, trials = proto.state.gen_a.dim, 7000
+    state = optimal_frameness_state(6, variance_cost())
+    proto = SyncProtocol(state)
+    d_a, trials = state.gen_a.dim, 7000
     gen = RandomSource(3).generator()
     ks = [proto.trial(0.5, gen)[1] for _ in range(trials)]
     assert all(type(k) is int and 0 <= k < d_a for k in ks)
@@ -229,16 +228,17 @@ def test_monte_carlo_cost_input_gates():
 
 def test_single_sector_state_has_least_frameness():
     c = variance_cost()
-    assert frameness(single_sector_state(3), c) == pytest.approx(-2.0, abs=1e-12)
-    assert frameness(flat_state(3), c) > frameness(single_sector_state(3), c)
+    single = -min_joint_cost(single_sector_state(3).magnitudes(), c)
+    assert single == pytest.approx(-2.0, abs=1e-12)
+    assert -min_joint_cost(flat_state(3).magnitudes(), c) > single
 
 
 def test_frameness_ordering_of_named_profiles():
     c = variance_cost()
     for n_tot in (2, 5, 12):
-        f_opt = frameness(optimal_frameness_state(n_tot, c), c)
-        f_sine = frameness(sine_state(n_tot), c)
-        f_flat = frameness(flat_state(n_tot), c)
+        f_opt = -min_joint_cost(optimal_frameness_state(n_tot, c).magnitudes(), c)
+        f_sine = -min_joint_cost(sine_state(n_tot).magnitudes(), c)
+        f_flat = -min_joint_cost(flat_state(n_tot).magnitudes(), c)
         assert f_opt >= f_sine - 1e-12
         assert f_sine >= f_flat - 1e-12
         assert f_opt > f_flat
@@ -249,13 +249,13 @@ def test_frameness_of_ket_invariant_under_level_preserving_unitaries():
     state = random_frame_state(gen, 3, 2)
     psi = expand(state)
     c = likelihood_cost(3)
-    base = frameness_of_ket(psi, state.gen_a, state.gen_b, c)
+    base = -min_joint_cost(sector_magnitudes(psi, state.gen_a, state.gen_b)[1], c)
     for _ in range(10):
         u = np.kron(level_preserving_unitary(gen, state.gen_a),
                     level_preserving_unitary(gen, state.gen_b))
         moved = Ket(u @ psi.amplitudes)
-        assert frameness_of_ket(moved, state.gen_a, state.gen_b, c) == \
-            pytest.approx(base, abs=1e-10)
+        got = -min_joint_cost(sector_magnitudes(moved, state.gen_a, state.gen_b)[1], c)
+        assert got == pytest.approx(base, abs=1e-10)
 
 
 # ----------------------------------------------------------- teleportation
@@ -464,141 +464,24 @@ def test_witness_dimension_gates():
 
 # ------------------------------------------------------------ finite groups
 
-def test_cyclic_group_table():
-    g = GroupTable.cyclic(5)
-    assert g.order == 5 and g.identity == 0
-    assert g.table[2, 4] == 1
-    assert g.inverses[3] == 2
-    assert g.table[3, g.inverses[3]] == g.identity
-    assert g.table.dtype == np.int64 and g.table.shape == (5, 5)
-    assert not g.table.flags.writeable and not g.inverses.flags.writeable
-
-
-def test_cyclic_table_is_the_loop_built_sum_table():
-    for n in range(1, 65):
-        want = np.array([[(a + b) % n for b in range(n)] for a in range(n)])
-        np.testing.assert_array_equal(GroupTable.cyclic(n).table, want)
-
-
-@pytest.mark.parametrize("derived", ["identity", "inverses"])
-def test_group_table_derives_identity_and_inverses(derived):
-    with pytest.raises(TypeError):
-        GroupTable(((0, 1), (1, 0)), **{derived: 0})
-
-
-def test_group_table_rejects_broken_axioms():
-    with pytest.raises(ContractViolation):
-        GroupTable(((0, 1),))                                  # not square
-    with pytest.raises(ContractViolation):
-        GroupTable(((0, 1), (1, 5)))                           # out of range
-    with pytest.raises(ContractViolation):
-        GroupTable(((1, 0), (0, 0)))                           # no identity
-    with pytest.raises(ContractViolation):
-        GroupTable(((0, 1, 2), (1, 0, 0), (2, 0, 1)))          # not associative
-
-
-def _group_axiom_error(table):
-    """Loop reference of GroupTable's checks: the first failing message, or None."""
-    t = tuple(tuple(int(x) for x in row) for row in table)
-    d = len(t)
-    if d == 0 or any(len(row) != d for row in t):
-        return "table must be square and nonempty"
-    if any(not 0 <= x < d for row in t for x in row):
-        return "table entries must be element indices"
-    identity = next((e for e in range(d)
-                     if all(t[e][x] == x and t[x][e] == x for x in range(d))), None)
-    if identity is None:
-        return "table has no identity element"
-    for a in range(d):
-        if identity not in t[a]:
-            return f"element {a} has no inverse"
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    return f"associativity fails at ({a}, {b}, {c})"
-    return None
-
-
-_KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-_S3 = ((0, 1, 2, 3, 4, 5), (1, 0, 4, 5, 2, 3), (2, 5, 0, 4, 3, 1),   # permutations
-       (3, 4, 5, 0, 1, 2), (4, 3, 1, 2, 5, 0), (5, 2, 3, 1, 0, 4))    # of 3 points
-
-
-@st.composite
-def _near_group_tables(draw):
-    """A relabelled group table (cyclic, Klein, S3) with up to three entries
-    overwritten, sometimes including out-of-range values or a short row."""
-    base = draw(st.sampled_from(
-        [tuple(tuple((a + b) % n for b in range(n)) for a in range(n)) for n in range(1, 6)]
-        + [_KLEIN, _S3]))
-    d = len(base)
-    perm = draw(st.permutations(range(d)))
-    t = [[0] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            t[perm[a]][perm[b]] = perm[base[a][b]]
-    for _ in range(draw(st.integers(0, 3))):
-        t[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(st.integers(-1, d))
-    if draw(st.integers(0, 9)) == 0:
-        t[draw(st.integers(0, d - 1))].pop()
-    return tuple(tuple(row) for row in t)
-
-
-@settings(max_examples=300, deadline=None)
-@given(table=_near_group_tables())
-def test_group_table_checks_match_the_loop_reference(table):
-    want = _group_axiom_error(table)
-    if want is None:
-        group = GroupTable(table)
-        np.testing.assert_array_equal(group.table, np.array(table))
-        elements = np.arange(group.order)
-        assert (group.table[elements, group.inverses] == group.identity).all()
-    else:
-        with pytest.raises(ContractViolation) as err:
-            GroupTable(table)
-        assert str(err.value) == want
-
-
-def test_group_table_reports_the_first_failing_triple():
-    # S3 with one product changed: many triples fail, the first in (a, b, c) order is named
-    t = [list(row) for row in _S3]
-    t[2][3] = 5
-    with pytest.raises(ContractViolation) as err:
-        GroupTable(tuple(tuple(row) for row in t))
-    assert str(err.value) == "associativity fails at (1, 2, 3)" == _group_axiom_error(t)
-
-
 @pytest.mark.parametrize("order", [2, 3, 5, 8])
 def test_finite_group_alignment_is_exact(order):
-    group = GroupTable.cyclic(order)
     root = RandomSource(31).split(order)
     for g in range(order):
-        estimates = finite_group_align(group, g, 50, root.split(g).generator())
+        estimates = finite_group_align(order, g, 50, root.split(g).generator())
         assert estimates.shape == (50,)
         assert (estimates == g).all()
 
 
-def test_finite_group_alignment_is_exact_in_a_non_abelian_group():
-    # in S3, b a^-1 != a^-1 b, so a swapped product would misidentify mismatches
-    group = GroupTable(_S3)
-    assert (group.table != group.table.T).any()
-    root = RandomSource(77)
-    for g in range(group.order):
-        estimates = finite_group_align(group, g, 200, root.split(g).generator())
-        assert (estimates == g).all()
-
-
-def _align_by_shots(group, mismatch, trials, rng):
+def _align_by_shots(d, mismatch, trials, rng):
     """Per-shot reference of finite_group_align: two core.measure calls per
     attempt, Alice's then Bob's, on the same stream."""
-    d = group.order
-    state = protocols._correlated_state(group.table[mismatch])
+    state = protocols._correlated_state(d, mismatch)
     estimates = []
     for _ in range(trials):
         a_out, posterior, _ = measure(state, d, rng)
         b_out, _, _ = measure(posterior, d, rng)
-        estimates.append(group.table[b_out][list(group.table[a_out]).index(group.identity)])
+        estimates.append((b_out - a_out) % d)
     return np.array(estimates)
 
 
@@ -623,27 +506,23 @@ def _lopsided_state(d):
     return Ket(amps.reshape(-1) * (1 - 1e-13) / np.linalg.norm(amps))
 
 
-_REFERENCE_GROUPS = [GroupTable.cyclic(d) for d in (2, 5, 16, 64)] + [GroupTable(_S3)]
-
-
-@pytest.mark.parametrize("group", _REFERENCE_GROUPS, ids=lambda g: f"order{g.order}")
-def test_align_block_matches_the_per_shot_reference(group, monkeypatch):
-    d = group.order
+@pytest.mark.parametrize("d", [2, 5, 16, 64], ids=lambda d: f"order{d}")
+def test_align_block_matches_the_per_shot_reference(d, monkeypatch):
     root = RandomSource(4242).split(d)
     for g in range(d):
         block_rng, shot_rng = root.split(g).generator(), root.split(g).generator()
-        block = finite_group_align(group, g, 20, block_rng)
-        np.testing.assert_array_equal(block, _align_by_shots(group, g, 20, shot_rng))
+        block = finite_group_align(d, g, 20, block_rng)
+        np.testing.assert_array_equal(block, _align_by_shots(d, g, 20, shot_rng))
         assert block_rng.bit_generator.state == shot_rng.bit_generator.state
 
     # On the correlated state every draw gives the exact estimate; on a
     # lopsided shared state the estimate depends on both outcomes, so equal
     # arrays mean equal outcomes, draw by draw, edge rules included.
     lopsided = _lopsided_state(d)
-    monkeypatch.setattr(protocols, "_correlated_state", lambda row: lopsided)
+    monkeypatch.setattr(protocols, "_correlated_state", lambda order, mismatch: lopsided)
     block_rng, shot_rng = root.generator(), root.generator()
-    np.testing.assert_array_equal(finite_group_align(group, 0, 300, block_rng),
-                                  _align_by_shots(group, 0, 300, shot_rng))
+    np.testing.assert_array_equal(finite_group_align(d, 0, 300, block_rng),
+                                  _align_by_shots(d, 0, 300, shot_rng))
     # draws 0, j/d and the largest float below 1, each against the others
     last = np.nextafter(1.0, 0.0)
     edges = [0.0, last] + [j / d for j in range(1, d)]
@@ -657,8 +536,8 @@ def test_align_block_matches_the_per_shot_reference(group, monkeypatch):
         posterior = psi[r] / np.sqrt(p_a[r])
         cum_b = np.cumsum((posterior * posterior.conj()).real)
         draws += [u for k in sorted({0, 1, d // 2, d - 2}) for u in (cum_a[r], cum_b[k])]
-    np.testing.assert_array_equal(finite_group_align(group, 0, len(draws) // 2, _Draws(draws)),
-                                  _align_by_shots(group, 0, len(draws) // 2, _Draws(draws)))
+    np.testing.assert_array_equal(finite_group_align(d, 0, len(draws) // 2, _Draws(draws)),
+                                  _align_by_shots(d, 0, len(draws) // 2, _Draws(draws)))
 
 
 def test_align_makes_one_block_per_mismatch_and_no_measure_call(monkeypatch, capsys):
@@ -674,21 +553,11 @@ def test_align_makes_one_block_per_mismatch_and_no_measure_call(monkeypatch, cap
     assert blocks == list(range(16)) and shots == []
 
 
-def test_align_run_checks_its_group_once(monkeypatch, capsys):
-    calls = []
-    check = GroupTable.__post_init__
-    monkeypatch.setattr(GroupTable, "__post_init__",
-                        lambda self: (calls.append(1), check(self))[1])
-    assert main(["align", "--d", "16", "--trials", "2"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 1
-
-
 def test_finite_group_align_input_gate():
-    group = GroupTable.cyclic(3)
-    for mismatch, trials in ((3, 1), (-1, 1), (0, 0), (0, -5)):
+    for order, mismatch, trials in ((3, 3, 1), (3, -1, 1), (3, 0, 0), (3, 0, -5),
+                                    (0, 0, 1), (-1, 0, 1)):
         rng = RandomSource(0).generator()
         before = rng.bit_generator.state
         with pytest.raises(ContractViolation):
-            finite_group_align(group, mismatch, trials, rng)
+            finite_group_align(order, mismatch, trials, rng)
         assert rng.bit_generator.state == before      # refused before any draw

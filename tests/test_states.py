@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import framesync.states as states
 from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
                        Generator, Ket, NotInvariantState, expand, family_profile,
-                       flat_state, frameness_of_ket, likelihood_cost, min_joint_cost,
+                       flat_state, likelihood_cost, min_joint_cost,
                        sector_magnitudes, sine_state, single_sector_state,
                        optimal_frameness_state, variance_cost)
 from framesync.config import cost_from_spec
@@ -500,7 +500,7 @@ def test_sector_magnitudes_refuses_a_negative_total_level(n_tot):
     with pytest.raises(ContractViolation, match=message):
         sector_magnitudes(psi, ga, gb)
     with pytest.raises(ContractViolation, match=message):
-        frameness_of_ket(psi, ga, gb, variance_cost())
+        -min_joint_cost(sector_magnitudes(psi, ga, gb)[1], variance_cost())
 
 
 def test_sector_magnitudes_dimension_gate():
