@@ -25,7 +25,7 @@ from .config import (ALIGN_WORK_CAP, COST_N_CAP, DEMO_N_CAP, FAMILIES, GRID_CAP,
                      cost_from_spec, cost_label, frame_state_from_spec, ket_from_spec,
                      parse_n_range, resource_from_spec, run_config, state_dict)
 from .core import ContractViolation, RandomSource, fidelity
-from .estimation import TWO_PI, brute_force_min_cost, min_joint_cost
+from .estimation import TWO_PI, _joint_cost, brute_force_min_cost, min_joint_cost
 from .protocols import (sector_form_residual, fidelity_after_relay,
                         finite_group_align, monte_carlo_cost,
                         no_go_witness, teleport_with_mismatch)
@@ -166,14 +166,14 @@ def cmd_scaling(cfg: RunConfig) -> ReportTable:
         raise UsageError(f"scaling takes family names only, got {unknown[0]!r}; "
                          f"known: {', '.join(FAMILIES)}")
 
-    # a family is its profile: each N resolves the cost once, and no state is built
-    cost_spec = cost_dict(cfg.cost)
+    # a family is its profile, one gated row per N, and no state is built.  The
+    # cost is resolved once: a row at N reads only its lags 1..N, so the
+    # default likelihood q_max = hi gives every row the coefficients of q_max = N
+    cost = cost_from_spec(cfg.cost, hi)
     ns = range(lo, hi + 1)
-    values = [[] for _ in family_list]
-    for n in ns:
-        cost = cost_from_spec(cost_spec, n)
-        for family, column in zip(family_list, values):
-            column.append(min_joint_cost(family_profile(family, n, cost), cost))
+    values = [[_joint_cost(row[:n + 1], cost)
+               for n, row in zip(ns, family_profile(family, ns, cost))]
+              for family in family_list]
 
     table = ReportTable(["family", "N", "min_cost"])
     slopes = []

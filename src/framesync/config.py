@@ -34,7 +34,7 @@ DEMO_N_CAP = 64    # anything that expands a full statevector
 GENERATOR_DIM_CAP = 8 * (DEMO_N_CAP + 1)   # basis slots of one spec-file generator
 GRID_CAP = 4096    # teleport-demo phase grid points
 ALIGN_WORK_CAP = 1 << 17   # align attempts d * trials, about 0.04 s at d = 64 on 2 cores
-SYNC_WORK_CAP = 1 << 19    # sync-sim trials * N values, about 7 s at N = 64 on 2 cores
+SYNC_WORK_CAP = 1 << 19    # sync-sim trials * N values, 6.3-8.3 s at N = 64 on 2 cores
 COST_COEFF_CAP = 1e100     # keeps every cost, its square and a sum over trials finite
 
 

@@ -57,16 +57,6 @@ class Ket:
             raise ContractViolation(f"{what} must be normalized, got norm {self.norm():.6g}")
         return self
 
-    def normalized(self) -> "Ket":
-        n = self.norm()
-        if n == 0.0:
-            raise ContractViolation("cannot normalize the zero vector")
-        return Ket(self.amplitudes / n)
-
-    def outer(self) -> np.ndarray:
-        a = self.amplitudes
-        return np.outer(a, a.conj())
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

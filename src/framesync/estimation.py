@@ -27,6 +27,7 @@ from .core import NORM_ATOL, ContractViolation, RandomSource
 TWO_PI = 2.0 * math.pi
 
 RESTARTS = 8        # oracle descent restarts
+LEVELS_PER_DOT = 32   # _joint_cost dots lag by lag while each lag has more levels than this
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +103,18 @@ def _magnitudes(e) -> np.ndarray:
 
 def min_joint_cost(e, cost: CostFunction) -> float:
     """Minimum average cost over all joint measurements, from magnitudes alone."""
-    m = _magnitudes(e)
+    return _joint_cost(_magnitudes(e), cost)
+
+
+def _joint_cost(m: np.ndarray, cost: CostFunction) -> float:
+    """c_0 + sum_q c_q sum_n m_n m_{n+q} of gated magnitudes ``m``, over only
+    the lags q = 1..min(q_max, N) the cost reads.  A few lags take one dot
+    each; more take one ``np.correlate``, whose lag q is the same dot."""
     cq = cost.cq[:m.size - 1]
-    lags = np.correlate(m, m, "full")[m.size:m.size + cq.size]  # sum_n m_n m_{n+q}, q >= 1
+    if cq.size * LEVELS_PER_DOT < m.size:
+        lags = np.array([m[q:] @ m[:-q] for q in range(1, cq.size + 1)])
+    else:
+        lags = np.correlate(m, m, "full")[m.size:m.size + cq.size]
     return cost.c0 + float(cq @ lags)
 
 

@@ -128,19 +128,23 @@ def _slot_pairs(state: BipartiteFrameState) -> tuple:
     return n[populated], l[populated], state.lam[populated]
 
 
-def _unit_profile(n_tot: int, m: np.ndarray) -> np.ndarray:
-    """``m`` if it holds one magnitude per sector 0..n_tot with unit sum of
-    squares within SECTOR_ATOL; the amplitude gate of every state."""
-    if m.shape != (n_tot + 1,):
+def _unit_profile(n_tot: int | range, m: np.ndarray) -> np.ndarray:
+    """``m`` if it holds one row per total of ``n_tot`` (one N or a range),
+    each with one magnitude per sector 0..max N and unit sum of squares within
+    SECTOR_ATOL; the amplitude gate of every state and profile."""
+    top = int(np.max(n_tot))
+    if m.shape != np.shape(n_tot) + (top + 1,):
         raise ContractViolation(
-            f"amplitudes must have one entry per sector 0..{n_tot}, got shape {m.shape}")
-    if not abs(float(np.sum(m * m)) - 1.0) <= SECTOR_ATOL:   # NaN fails
+            f"amplitudes must have one entry per sector 0..{top}, got shape {m.shape}")
+    if not (np.abs(np.sum(m * m, axis=-1) - 1.0) <= SECTOR_ATOL).all():   # NaN fails
         raise ContractViolation("sector amplitudes must have unit sum of squares")
     return m
 
 
-def _optimal_profile(n_tot: int, cost: CostFunction) -> np.ndarray:
-    """Sector profile minimizing the joint cost (maximizing frameness).
+def _optimal_profile(n_tot: int | range, cost: CostFunction) -> np.ndarray:
+    """Sector profile minimizing the joint cost (maximizing frameness), at one
+    total N or in one row per N of a range; past a row's own N its entries
+    are left for :func:`family_profile` to zero.
 
     The optimum over unit nonnegative profiles of
     c_0 + sum_q c_q sum_n e_n e_{n+q} is the leading eigenvector of the
@@ -157,24 +161,41 @@ def _optimal_profile(n_tot: int, cost: CostFunction) -> np.ndarray:
       the flat profile 1/sqrt(N + 1), at cost c_0 + c_1 N / 2.
 
     Both are the unique Perron vectors of an irreducible nonnegative band.
-
-    Every other band is solved on the symmetric half of M.  M commutes with
-    the reversal J, so its eigenspaces split into symmetric (Jv = v) and
-    antisymmetric parts.  M has nonnegative entries, so its top eigenspace
-    holds a nonnegative v (Perron-Frobenius); then v + Jv is nonnegative,
-    symmetric and nonzero, so the top eigenvalue is reached on the symmetric
-    subspace.  There v = (a, [c], a reversed), and M acts on (a, [c]) as the
-    k x k matrix M[:k, :k] + M[:k, ::-1][:, :k], k = ceil(dim / 2); for odd
-    dim the middle coordinate is rescaled by sqrt(2) to keep it symmetric.
+    Row N reads lags 0..N of the band, so which form it takes depends on N;
+    every other row is solved by :func:`_eigen_profile`, one N at a time.
     """
-    dim = n_tot + 1
-    band = 0.5 * np.abs(cost.band(dim))   # -c_q / 2, its zeros +0.0: eigh reads their sign
-    if band[1] > 0.0 and not band[2:].any():           # tridiagonal
-        n = np.arange(1, dim + 1)
-        return math.sqrt(2.0 / (dim + 1)) * np.sin(np.pi * n / (dim + 1))
-    if band[1] > 0.0 and (band[1:] == band[1]).all():   # constant: the flat profile
-        return np.full(dim, 1.0 / math.sqrt(dim))
+    totals = np.asarray(n_tot)
+    # -c_q / 2 at lags 0..max N, its zeros +0.0: eigh reads their sign
+    band = 0.5 * np.abs(cost.band(totals.max() + 1))
+    lag = np.arange(band.size)
+    dim = totals[..., None] + 1
+    # a row stays tridiagonal below the first set lag past 1, and constant
+    # below the first lag that differs from lag 1
+    tri = (band[1] > 0.0) & (dim <= lag[2:][band[2:] != 0.0].min(initial=band.size))
+    flat = (band[1] > 0.0) & (dim <= lag[1:][band[1:] != band[1]].min(initial=band.size))
+    profile = np.where(tri, np.sqrt(2.0 / (dim + 1)) * np.sin(np.pi * (lag + 1) / (dim + 1)),
+                       np.where(flat, 1.0 / np.sqrt(dim), 0.0))
+    rows = profile.reshape(-1, band.size)   # a view, also of one N's profile
+    for row, size, closed in zip(rows, dim.ravel(), (tri | flat).ravel()):
+        if not closed:
+            row[:size] = _eigen_profile(band[:size])
+    return profile
 
+
+def _eigen_profile(band: np.ndarray) -> np.ndarray:
+    """Leading nonnegative eigenvector of the symmetric Toeplitz matrix with
+    M[n, n+q] = band[q], solved on its symmetric half.
+
+    M commutes with the reversal J, so its eigenspaces split into symmetric
+    (Jv = v) and antisymmetric parts.  M has nonnegative entries, so its top
+    eigenspace holds a nonnegative v (Perron-Frobenius); then v + Jv is
+    nonnegative, symmetric and nonzero, so the top eigenvalue is reached on
+    the symmetric subspace.  There v = (a, [c], a reversed), and M acts on
+    (a, [c]) as the k x k matrix M[:k, :k] + M[:k, ::-1][:, :k],
+    k = ceil(dim / 2); for odd dim the middle coordinate is rescaled by
+    sqrt(2) to keep it symmetric.
+    """
+    dim = band.size
     idx = np.arange(dim)
     m = band[np.abs(idx[:, None] - idx)]
     half, k = dim // 2, dim - dim // 2
@@ -194,34 +215,41 @@ def _optimal_profile(n_tot: int, cost: CostFunction) -> np.ndarray:
     return lead
 
 
-def family_profile(family: str, n_tot: int, cost: CostFunction | None = None,
+def family_profile(family: str, n_tot: int | range, cost: CostFunction | None = None,
                    level: int = 0) -> np.ndarray:
-    """Sector magnitudes |e_n|, n = 0..n_tot, of a named family.
+    """Sector magnitudes |e_n|, n = 0..N, of a named family at one total N,
+    or one row per N of a range of totals.
 
     A family is its profile; its state only adds ladder generators and
     rank-one sectors.  ``flat`` is 1/sqrt(N+1); ``sine-paper`` the fixed
     half-period sine of :func:`sine_state`; ``optimal`` the minimizer of
-    ``cost``; ``single-sector`` all weight on sector ``level``.  The profile
-    passes the amplitude gate of a state built from it.
+    ``cost``; ``single-sector`` all weight on sector ``level``.  Over a range
+    every row is zero-padded to the largest N, and its first N + 1 entries
+    are the profile at that N alone, bit for bit.  The profile passes the
+    amplitude gate of a state built from it, row by row.
     """
     if family not in FAMILIES:
         raise ContractViolation(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    totals = np.asarray(n_tot)
+    n = np.arange(totals.max() + 1)
+    size = totals[..., None] + 1
     if family == "single-sector":
-        if not 0 <= level <= n_tot:
-            raise ContractViolation(f"sector level {level} outside 0..{n_tot}")
-        return _unit_profile(n_tot, (np.arange(n_tot + 1) == level).astype(float))
-    if n_tot < 1:
+        if not 0 <= level <= totals.min():
+            raise ContractViolation(f"sector level {level} outside 0..{totals.min()}")
+        profile = (n == level).astype(float)
+    elif totals.min() < 1:
         raise ContractViolation(
             f"{family.removesuffix('-paper')} state needs total level >= 1")
-    if family == "flat":
-        profile = np.full(n_tot + 1, 1.0 / np.sqrt(n_tot + 1.0))
+    elif family == "flat":
+        profile = np.ones(n.size) / np.sqrt(size)
     elif family == "sine-paper":
-        n = np.arange(n_tot + 1)
-        profile = np.sin(np.pi * (n + 0.5) / (n_tot + 1)) * np.sqrt(2.0 / (n_tot + 1))
+        profile = np.sin(np.pi * (n + 0.5) / size) * np.sqrt(2.0 / size)
     elif cost is None:
         raise ContractViolation("the optimal family needs a cost")
     else:
         profile = _optimal_profile(n_tot, cost)
+    if totals.ndim:   # a range: each row ends at its own N
+        profile = np.where(n < size, profile, 0.0)
     return _unit_profile(n_tot, profile)
 
 

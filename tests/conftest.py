@@ -5,7 +5,13 @@ no module-level randomness.
 """
 import numpy as np
 
-from framesync import BipartiteFrameState, Generator
+from framesync import BipartiteFrameState, Generator, Ket
+
+
+def unit_ket(values):
+    """Ket of ``values`` divided by their norm."""
+    a = np.asarray(values, dtype=complex)
+    return Ket(a / np.linalg.norm(a))
 
 
 def random_unit(gen, n, complex_valued=True):

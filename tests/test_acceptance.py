@@ -20,7 +20,7 @@ from framesync import (EstimateDensity, RandomSource, alice_measure,
                        teleport_with_mismatch, variance_cost,
                        Generator, Ket)
 from framesync.cli import main
-from conftest import level_preserving_unitary, random_frame_state, random_unit
+from conftest import level_preserving_unitary, random_frame_state, random_unit, unit_ket
 
 TWO_PI = 2 * math.pi
 
@@ -152,7 +152,7 @@ def test_criterion_05_likelihood_density_peak_and_cost():
 
 def test_criterion_06_teleportation_mismatch_curve():
     with criterion("teleportation under frame mismatch", 10):
-        plus = Ket([1.0, 1.0]).normalized()
+        plus = unit_ket([1.0, 1.0])
         zero = Ket([1.0, 0.0])
         grid = TWO_PI * np.arange(1024) / 1024
         total = 0.0
@@ -166,15 +166,15 @@ def test_criterion_06_teleportation_mismatch_curve():
 
         gen = np.random.default_rng(808)
         for _ in range(20):
-            psi = Ket(gen.normal(size=2) + 1j * gen.normal(size=2)).normalized()
+            psi = unit_ket(gen.normal(size=2) + 1j * gen.normal(size=2))
             assert abs(fidelity(teleport_with_mismatch(psi, 0.0), psi) - 1.0) <= 1e-12
 
 
 def test_criterion_07_no_go_witness_reports():
     with criterion("algebraic no-go witness", 1):
-        plus = Ket([1.0, 1.0]).normalized()
+        plus = unit_ket([1.0, 1.0])
         g2 = Generator.ladder(2)
-        bell = Ket([1.0, 0.0, 0.0, 1.0]).normalized()
+        bell = unit_ket([1.0, 0.0, 0.0, 1.0])
         shared = expand(flat_state(1))
         for resource in (bell, shared):
             rep = no_go_witness(plus, g2, resource, g2, g2)

@@ -463,6 +463,20 @@ def test_scaling_rows_match_the_state_reference(capsys, tmp_path, cost_spec, n_r
     assert data_rows(out)[1][:len(want)] == want   # bit for bit, as repr
 
 
+@pytest.mark.parametrize("n_range", ["1..24", "500..512"])
+@pytest.mark.parametrize("cost_spec", _SCALING_COSTS)
+def test_family_profile_rows_are_the_padded_per_n_profiles(cost_spec, n_range):
+    # scaling resolves the cost once, at the top of the range
+    lo, hi = parse_n_range(n_range)
+    ns = range(lo, hi + 1)
+    for family in FAMILIES:
+        want = np.zeros((len(ns), hi + 1))
+        for row, n in zip(want, ns):
+            row[:n + 1] = states.family_profile(family, n, cost_from_spec(cost_spec, n))
+        got = states.family_profile(family, ns, cost_from_spec(cost_spec, hi))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), family
+
+
 def _count_constructions(monkeypatch):
     """Totals of every BipartiteFrameState and number of Generators built."""
     built = {"states": [], "generators": 0}

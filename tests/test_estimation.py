@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import framesync.estimation as estimation
 from framesync import (ContractViolation, CostFunction, EstimateDensity,
-                       RandomSource, brute_force_min_cost, likelihood_cost,
+                       RandomSource, brute_force_min_cost, family_profile, likelihood_cost,
                        min_joint_cost, optimal_frameness_state, sample_estimate,
                        variance_cost)
-from framesync.estimation import _coordinate_descent, _outcome_probabilities, _seed_weights
+from framesync.estimation import (_coordinate_descent, _joint_cost, _outcome_probabilities,
+                                  _seed_weights)
 from conftest import random_unit
 
 TWO_PI = 2 * math.pi
@@ -124,6 +126,31 @@ def test_min_joint_cost_beats_global_cost_minimum(seed, n):
     grid = np.linspace(0, TWO_PI, 4096, endpoint=False)
     for cost in (variance_cost(), likelihood_cost(max(1, n))):
         assert min_joint_cost(e, cost) >= cost.value(grid).min() - 1e-12
+
+
+def test_joint_cost_lag_dots_equal_the_correlate_lags(monkeypatch):
+    # _joint_cost dots each lag when they are few and correlates otherwise;
+    # a row's cost must not depend on the path, so a BLAS whose ddot rounds
+    # apart from np.correlate's fails here, by profile, N and q_max
+    totals = range(1, 513)
+    gen = np.random.default_rng(2024)
+    profiles = {"flat": family_profile("flat", totals),
+                "sine-paper": family_profile("sine-paper", totals),
+                "optimal": family_profile("optimal", totals, variance_cost())}
+    profiles["random"] = [random_unit(gen, n + 1, complex_valued=False) for n in totals]
+    apart = []
+    for name, rows in profiles.items():
+        for n, row in zip(totals, rows):
+            m = np.abs(row[:n + 1])
+            for q_max in sorted({1, 2, 3, 8, n}):
+                cost = CostFunction(1.0, -gen.random(q_max))
+                values = []
+                for levels_per_dot in (0, m.size):   # every lag dotted, then one correlate
+                    monkeypatch.setattr(estimation, "LEVELS_PER_DOT", levels_per_dot)
+                    values.append(_joint_cost(m, cost).hex())
+                if values[0] != values[1]:
+                    apart.append((name, n, q_max, *values))
+    assert apart == []
 
 
 @settings(max_examples=50)

@@ -17,7 +17,7 @@ import framesync.protocols as protocols
 from framesync.cli import main
 from framesync.core import measure
 from framesync.protocols import _rank_one_commutator_norm
-from conftest import level_preserving_unitary, random_frame_state
+from conftest import level_preserving_unitary, random_frame_state, unit_ket
 
 TWO_PI = 2 * math.pi
 seeds = st.integers(0, 2**32 - 1)
@@ -55,8 +55,8 @@ def test_alice_outcomes_match_the_dft_loop_reference(seed, n_tot, max_deg):
 def test_alice_measure_shared_pair_frozen():
     probs, bob = alice_measure(flat_state(1))
     assert probs.shape == (2,) and bob.shape == (2, 2)
-    plus = Ket([1.0, 1.0]).normalized()
-    minus = Ket([1.0, -1.0]).normalized()
+    plus = unit_ket([1.0, 1.0])
+    minus = unit_ket([1.0, -1.0])
     for k, want in enumerate((plus, minus)):
         assert probs[k] == pytest.approx(0.5, abs=1e-12)
         assert abs(np.vdot(want.amplitudes, bob[k])) == pytest.approx(1.0, abs=1e-12)
@@ -269,7 +269,7 @@ def test_si_teleport_coefficients_always_arrive():
 
 
 def test_teleport_plus_state_fidelity_curve():
-    plus = Ket([1.0, 1.0]).normalized()
+    plus = unit_ket([1.0, 1.0])
     for phi in np.linspace(0.0, TWO_PI, 17):
         rho = teleport_with_mismatch(plus, phi)
         got = fidelity(rho, plus)
@@ -287,7 +287,7 @@ def test_teleport_level_populations_never_suffer():
 def test_teleport_without_mismatch_is_exact(seed):
     gen = np.random.default_rng(seed)
     a = gen.normal(size=2) + 1j * gen.normal(size=2)
-    psi = Ket(a).normalized()
+    psi = unit_ket(a)
     rho = teleport_with_mismatch(psi, 0.0)
     assert fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
 
@@ -299,7 +299,7 @@ def test_teleport_qutrit_needs_matching_resource():
 
 
 def test_teleport_output_is_a_valid_density_matrix():
-    plus = Ket([1.0, 1.0]).normalized()
+    plus = unit_ket([1.0, 1.0])
     rho = teleport_with_mismatch(plus, 1.0)
     assert isinstance(rho, DensityMatrix)   # constructor already validates
 
@@ -334,7 +334,7 @@ def _teleport_by_outcome(psi, phi):
 def test_teleport_matches_the_per_outcome_protocol(d):
     gen = np.random.default_rng(40 + d)
     for _ in range(5):
-        psi = Ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
+        psi = unit_ket(gen.normal(size=d) + 1j * gen.normal(size=d))
         phi = float(gen.uniform(0.0, TWO_PI))
         rho = teleport_with_mismatch(psi, phi)
         np.testing.assert_allclose(rho.entries, _teleport_by_outcome(psi.amplitudes, phi),
@@ -346,7 +346,7 @@ def test_teleport_kernel_over_a_phase_grid_matches_the_per_outcome_protocol(d):
     gen = np.random.default_rng(70 + d)
     phis = np.concatenate([np.linspace(0.0, TWO_PI, 25), gen.uniform(-10.0, 10.0, 8)])
     for _ in range(3):
-        psi = Ket(gen.normal(size=d) + 1j * gen.normal(size=d)).normalized()
+        psi = unit_ket(gen.normal(size=d) + 1j * gen.normal(size=d))
         stack = teleport_with_mismatch(psi, phis)
         assert isinstance(stack, DensityMatrix) and stack.dim == d
         assert stack.entries.shape == (phis.size, d, d) and not stack.entries.flags.writeable
@@ -356,7 +356,7 @@ def test_teleport_kernel_over_a_phase_grid_matches_the_per_outcome_protocol(d):
 
 
 def test_teleport_grid_runs_the_density_checks_on_every_phase(monkeypatch):
-    plus = Ket([1.0, 1.0]).normalized()
+    plus = unit_ket([1.0, 1.0])
     with pytest.raises(ContractViolation, match="phase must be finite"):
         teleport_with_mismatch(plus, np.array([0.0, np.nan]))
     with pytest.raises(ContractViolation, match="1-d"):
@@ -389,8 +389,8 @@ def _ladder2():
 
 
 def test_witness_shared_pair_frozen_report():
-    plus = Ket([1.0, 1.0]).normalized()
-    bell = Ket([0.0, 1.0, 1.0, 0.0]).normalized()
+    plus = unit_ket([1.0, 1.0])
+    bell = unit_ket([0.0, 1.0, 1.0, 0.0])
     rep = no_go_witness(plus, _ladder2(), bell, _ladder2(), _ladder2())
     assert rep.levels == (-1, 0, 1)
     np.testing.assert_allclose(rep.weights, (0.25, 0.5, 0.25), atol=1e-12)
@@ -415,7 +415,7 @@ def test_witness_top_component_always_commutes(seed, n_tot, max_deg):
     gen = np.random.default_rng(seed)
     state = random_frame_state(gen, n_tot, max_deg)
     a = gen.normal(size=3) + 1j * gen.normal(size=3)
-    psi0 = Ket(a).normalized()
+    psi0 = unit_ket(a)
     rep = no_go_witness(psi0, Generator.ladder(3), expand(state),
                         state.gen_a, state.gen_b)
     assert rep.invariance_residual < 1e-10
@@ -423,7 +423,7 @@ def test_witness_top_component_always_commutes(seed, n_tot, max_deg):
 
 def test_witness_invariant_input_has_zero_ui_norm():
     zero = Ket(np.eye(2)[0])
-    bell = Ket([0.0, 1.0, 1.0, 0.0]).normalized()
+    bell = unit_ket([0.0, 1.0, 1.0, 0.0])
     rep = no_go_witness(zero, _ladder2(), bell, _ladder2(), _ladder2())
     assert rep.input_ui_norm == pytest.approx(0.0, abs=1e-12)
 
@@ -454,8 +454,8 @@ def test_rank_one_residual_vanishes_on_constant_diagonal(c):
 
 
 def test_witness_dimension_gates():
-    plus = Ket([1.0, 1.0]).normalized()
-    bell = Ket([0.0, 1.0, 1.0, 0.0]).normalized()
+    plus = unit_ket([1.0, 1.0])
+    bell = unit_ket([0.0, 1.0, 1.0, 0.0])
     with pytest.raises(ContractViolation):
         no_go_witness(plus, Generator.ladder(3), bell, _ladder2(), _ladder2())
     with pytest.raises(ContractViolation):

@@ -12,7 +12,7 @@ from framesync import (BipartiteFrameState, ContractViolation, CostFunction,
                        optimal_frameness_state, variance_cost)
 from framesync.config import cost_from_spec
 from framesync.states import FAMILIES
-from conftest import level_preserving_unitary, random_frame_state
+from conftest import level_preserving_unitary, random_frame_state, unit_ket
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -101,6 +101,27 @@ def test_family_profile_gate_is_the_sector_tolerance(monkeypatch):
         else:
             with pytest.raises(ContractViolation, match="unit sum of squares|one entry per sector"):
                 family_profile("optimal", 4, cost)
+
+
+def test_family_profile_rows_pass_the_per_n_gate(monkeypatch):
+    # one gate over every row of a range, with the message of a single N
+    cost = variance_cost()
+    rows = family_profile("flat", range(3, 6))
+    off = rows * np.array([[1.0], [math.sqrt(1.0 + 1e-11)], [1.0]])
+    for bad in (off, np.where(rows > 0.0, np.nan, 0.0)):
+        monkeypatch.setattr(states, "_optimal_profile", lambda n, c, p=bad: p)
+        with pytest.raises(ContractViolation,
+                           match="^sector amplitudes must have unit sum of squares$"):
+            family_profile("optimal", range(3, 6), cost)
+    monkeypatch.undo()
+    assert family_profile("optimal", range(3, 6), cost).shape == (3, 6)
+    with pytest.raises(ContractViolation,
+                       match=r"^amplitudes must have one entry per sector 0\.\.5, got shape \(2, 6\)$"):
+        states._unit_profile(range(3, 6), rows[1:])
+    with pytest.raises(ContractViolation, match=r"^sector level 3 outside 0\.\.2$"):
+        family_profile("single-sector", range(2, 6), level=3)
+    with pytest.raises(ContractViolation, match="^flat state needs total level >= 1$"):
+        family_profile("flat", range(0, 3))
 
 
 def test_optimal_variance_profile_is_discrete_sine():
@@ -490,7 +511,7 @@ def test_sector_magnitudes_handles_missing_levels():
 def test_sector_magnitudes_rejects_non_eigenstate():
     g = Generator.ladder(2)
     with pytest.raises(NotInvariantState, match=r"level-sum support \[0, 2\]"):
-        sector_magnitudes(Ket([1, 0, 0, 1]).normalized(), g, g)
+        sector_magnitudes(unit_ket([1, 0, 0, 1]), g, g)
 
 
 @pytest.mark.parametrize("n_tot", [-2, -1])
